@@ -1,97 +1,67 @@
 #!/usr/bin/env python3
-"""Benchmark the numba kernels against their pure-numpy fallbacks.
+"""Time the two numpy grid kernels.
 
-Covers the two hot paths: evaluating a many-term symbol on a dense grid,
-and RK4 advection stepping built on the 4th-order stencils.  Run as
+- `evaluate_grid` on the 325-term Wigner state n = 24 over the 201x201
+  `WIDE_SPEC` lattice (one exponent group: one exp and one 2-D Horner).
+- 100 RK4 steps of the damped advection oracle on the same lattice.
 
-    python benchmarks/bench_kernels.py
+Run from the repository root as
 
-The dispatching module picks numba automatically; STARKIT_NO_NUMBA=1 would
-force the numpy path package-wide, but here both implementations are timed
-explicitly side by side.
+    PYTHONPATH=src python benchmarks/bench_kernels.py
+
+Each line reports the median and the minimum of several repeats.
 """
 
+import statistics
 import time
 
 import numpy as np
 
 import starkit as sk
-from starkit import _accel
+from starkit import numerics, oscillator
 from starkit import symbols as sym
 from starkit.numerics import WIDE_SPEC
 
 
-def timeit(fn, repeats=3):
-    best = float("inf")
+def timeit(fn, repeats):
+    times = []
     result = None
     for _ in range(repeats):
         t0 = time.perf_counter()
         result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times), min(times), result
 
 
-def bench_eval():
-    state = sk.sho_wigner_eigenstate(24)  # ~300 monomial-Gaussian terms
-    arrays = sym._term_arrays(state)
+def report(label, median, best):
+    print(f"  {label}: median {median * 1e3:8.2f} ms, "
+          f"min {best * 1e3:8.2f} ms")
+
+
+def bench_eval(n=24):
+    state = sk.sho_wigner_eigenstate(n)
+    exponents = len({t.expo for t in state.terms})
     P, Q = WIDE_SPEC.meshes()
-    print(f"grid evaluation: {len(state.terms)} terms on "
+    print(f"evaluate_grid: Wigner n={n}, {len(state.terms)} terms, "
+          f"{exponents} exponent(s), on {WIDE_SPEC.nq}x{WIDE_SPEC.np} nodes")
+    sym.evaluate_grid(state, P, Q)  # warm-up outside timing
+    med, best, values = timeit(lambda: sym.evaluate_grid(state, P, Q), 7)
+    report("time", med, best)
+    ref = oscillator.sho_wigner_values(n, P, Q)[n]
+    print(f"  max deviation from sho_wigner_values: "
+          f"{np.abs(values - ref).max():.2e}")
+
+
+def bench_rk4(steps=100, dt=1e-3):
+    grid = numerics.sample(sym.gaussian(1.0, app=-0.5, aqq=-0.5), WIDE_SPEC)
+    params = sym.Params(gamma=0.1)
+    print(f"rk4_evolve: {steps} damped steps on "
           f"{WIDE_SPEC.nq}x{WIDE_SPEC.np} nodes")
-    if _accel.NUMBA_AVAILABLE:
-        _accel.eval_terms_grid_numba(*arrays, P, Q)  # compile outside timing
-        t_nb, (v_nb, _) = timeit(lambda: _accel.eval_terms_grid_numba(*arrays, P, Q))
-    else:
-        t_nb, v_nb = float("nan"), None
-    t_np, (v_np, _) = timeit(lambda: _accel.eval_terms_grid_numpy(*arrays, P, Q))
-    print(f"  numpy: {t_np * 1e3:8.2f} ms")
-    if v_nb is not None:
-        print(f"  numba: {t_nb * 1e3:8.2f} ms   (x{t_np / t_nb:.1f}); "
-              f"max deviation {np.abs(v_np - v_nb).max():.2e}")
-
-
-def _rk4(fd4, steps=100):
-    P, Q = WIDE_SPEC.meshes()
-    u0 = sym.evaluate_grid(sym.gaussian(1.0, app=-0.5, aqq=-0.5), P, Q)
-    dq = (WIDE_SPEC.q_max - WIDE_SPEC.q_min) / (WIDE_SPEC.nq - 1)
-    dp = (WIDE_SPEC.p_max - WIDE_SPEC.p_min) / (WIDE_SPEC.np - 1)
-    vq, vp = P, -Q - 0.2 * P
-    h = 1e-3
-
-    def rhs(u):
-        out = -vq * fd4(u, dq, 0) - vp * fd4(u, dp, 1)
-        out[0, :] = out[-1, :] = 0.0
-        out[:, 0] = out[:, -1] = 0.0
-        return out
-
-    def run():
-        u = u0.copy()
-        for _ in range(steps):
-            k1 = rhs(u)
-            k2 = rhs(u + 0.5 * h * k1)
-            k3 = rhs(u + 0.5 * h * k2)
-            k4 = rhs(u + h * k3)
-            u = u + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return u
-
-    return run
-
-
-def bench_rk4():
-    print(f"RK4 advection: 100 steps on {WIDE_SPEC.nq}x{WIDE_SPEC.np} nodes")
-    if _accel.NUMBA_AVAILABLE:
-        _rk4(_accel.fd4_axis_numba, steps=1)()  # compile outside timing
-        t_nb, u_nb = timeit(_rk4(_accel.fd4_axis_numba), repeats=2)
-    else:
-        t_nb, u_nb = float("nan"), None
-    t_np, u_np = timeit(_rk4(_accel.fd4_axis_numpy), repeats=2)
-    print(f"  numpy: {t_np * 1e3:8.2f} ms")
-    if u_nb is not None:
-        print(f"  numba: {t_nb * 1e3:8.2f} ms   (x{t_np / t_nb:.1f}); "
-              f"max deviation {np.abs(u_np - u_nb).max():.2e}")
+    med, best, _ = timeit(
+        lambda: numerics.rk4_evolve(grid, "damped", steps * dt, dt, params), 3)
+    report("time", med, best)
 
 
 if __name__ == "__main__":
-    print(f"numba available: {_accel.NUMBA_AVAILABLE}; "
-          f"package dispatch uses numba: {_accel.USE_NUMBA}")
     bench_eval()
     bench_rk4()

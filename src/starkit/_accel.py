@@ -1,102 +1,30 @@
-"""Hot numeric kernels: grid evaluation of symbols and 4th-order stencils.
+"""Numeric constants and the 4th-order stencil shared by the grid routines.
 
-Both kernels exist in a numba @njit variant and a pure-numpy variant.  The
-active backend is chosen once at import time: numba when it is importable,
-unless the environment variable STARKIT_NO_NUMBA is set to 1/true/yes.
-Both variants are always importable so they can be benchmarked against
-each other (see benchmarks/bench_kernels.py).
-
-Summation order over terms is fixed per grid node in both variants, so
-results are bitwise independent of how work might be partitioned.
+numpy is the only array backend.  Grid evaluation of symbols lives in
+`symbols.evaluate_grid`.  `NUMBA_AVAILABLE` (a package probe that imports
+nothing) and `USE_NUMBA` only describe the environment in benchmark
+records; no code path depends on them.
 """
 
-import os
+import importlib.util
 
 import numpy as np
 
-_flag = os.environ.get("STARKIT_NO_NUMBA", "").strip().lower()
-NUMBA_DISABLED = _flag in ("1", "true", "yes")
-
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - mirror always ships numba
-    NUMBA_AVAILABLE = False
-
-USE_NUMBA = NUMBA_AVAILABLE and not NUMBA_DISABLED
+NUMBA_AVAILABLE = importlib.util.find_spec("numba") is not None
+USE_NUMBA = False
 
 # Gaussian exponents above this real part would overflow double precision.
 EXP_LIMIT = 700.0
 
 
-def eval_terms_grid_numpy(coeffs, pow_p, pow_q, app, aqq, apq, bp, bq, P, Q):
-    """Sum coeff * p^a * q^b * exp(quadratic) over terms, vectorized per term.
-
-    Returns (values, max_re) where max_re is the largest exponent real part
-    encountered; the caller decides whether that constitutes an overflow.
-    """
-    values = np.zeros(P.shape, dtype=np.complex128)
-    max_re = -np.inf
-    # overflow in exp is fine here: the caller raises once max_re is seen
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(len(coeffs)):
-            expo = (app[k] * P * P + aqq[k] * Q * Q + apq[k] * P * Q
-                    + bp[k] * P + bq[k] * Q)
-            re = expo.real.max() if expo.size else -np.inf
-            if re > max_re:
-                max_re = re
-            term = coeffs[k] * np.exp(expo)
-            if pow_p[k]:
-                term = term * P ** pow_p[k]
-            if pow_q[k]:
-                term = term * Q ** pow_q[k]
-            values += term
-    return values, max_re
-
-
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True)
-    def _eval_terms_grid_jit(coeffs, pow_p, pow_q, app, aqq, apq, bp, bq, P, Q):
-        ni, nj = P.shape
-        values = np.zeros((ni, nj), dtype=np.complex128)
-        max_re = -np.inf
-        for i in range(ni):
-            for j in range(nj):
-                p = P[i, j]
-                q = Q[i, j]
-                acc = 0.0 + 0.0j
-                for k in range(len(coeffs)):
-                    expo = (app[k] * p * p + aqq[k] * q * q + apq[k] * p * q
-                            + bp[k] * p + bq[k] * q)
-                    if expo.real > max_re:
-                        max_re = expo.real
-                    mono = 1.0 + 0.0j
-                    for _ in range(pow_p[k]):
-                        mono *= p
-                    for _ in range(pow_q[k]):
-                        mono *= q
-                    acc += coeffs[k] * mono * np.exp(expo)
-                values[i, j] = acc
-        return values, max_re
-
-    def eval_terms_grid_numba(coeffs, pow_p, pow_q, app, aqq, apq, bp, bq, P, Q):
-        return _eval_terms_grid_jit(coeffs, pow_p, pow_q, app, aqq, apq,
-                                    bp, bq, P, Q)
-
-else:  # pragma: no cover
-    eval_terms_grid_numba = eval_terms_grid_numpy
-
-
-def fd4_axis_numpy(u, h, axis):
+def fd4_axis(u, h, axis):
     """4th-order first derivative along an axis of a 2-D complex array.
 
     Interior nodes use the 5-point central stencil; the two cells at each
     edge use the matching one-sided 5-point stencils.
     """
     if axis == 1:
-        return fd4_axis_numpy(u.T, h, 0).T
+        return fd4_axis(u.T, h, 0).T
     d = np.empty_like(u)
     d[2:-2] = (u[:-4] - 8.0 * u[1:-3] + 8.0 * u[3:-1] - u[4:]) / (12.0 * h)
     d[0] = (-25.0 * u[0] + 48.0 * u[1] - 36.0 * u[2]
@@ -108,44 +36,3 @@ def fd4_axis_numpy(u, h, axis):
     d[-1] = (25.0 * u[-1] - 48.0 * u[-2] + 36.0 * u[-3]
              - 16.0 * u[-4] + 3.0 * u[-5]) / (12.0 * h)
     return d
-
-
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True)
-    def _fd4_axis0_jit(u, h):
-        n, m = u.shape
-        d = np.empty((n, m), dtype=np.complex128)
-        inv = 1.0 / (12.0 * h)
-        for j in range(m):
-            d[0, j] = (-25.0 * u[0, j] + 48.0 * u[1, j] - 36.0 * u[2, j]
-                       + 16.0 * u[3, j] - 3.0 * u[4, j]) * inv
-            d[1, j] = (-3.0 * u[0, j] - 10.0 * u[1, j] + 18.0 * u[2, j]
-                       - 6.0 * u[3, j] + u[4, j]) * inv
-            for i in range(2, n - 2):
-                d[i, j] = (u[i - 2, j] - 8.0 * u[i - 1, j]
-                           + 8.0 * u[i + 1, j] - u[i + 2, j]) * inv
-            d[n - 2, j] = (3.0 * u[n - 1, j] + 10.0 * u[n - 2, j]
-                           - 18.0 * u[n - 3, j] + 6.0 * u[n - 4, j]
-                           - u[n - 5, j]) * inv
-            d[n - 1, j] = (25.0 * u[n - 1, j] - 48.0 * u[n - 2, j]
-                           + 36.0 * u[n - 3, j] - 16.0 * u[n - 4, j]
-                           + 3.0 * u[n - 5, j]) * inv
-        return d
-
-    def fd4_axis_numba(u, h, axis):
-        u = np.ascontiguousarray(u, dtype=np.complex128)
-        if axis == 0:
-            return _fd4_axis0_jit(u, h)
-        return _fd4_axis0_jit(np.ascontiguousarray(u.T), h).T
-
-else:  # pragma: no cover
-    fd4_axis_numba = fd4_axis_numpy
-
-
-if USE_NUMBA:
-    eval_terms_grid = eval_terms_grid_numba
-    fd4_axis = fd4_axis_numba
-else:
-    eval_terms_grid = eval_terms_grid_numpy
-    fd4_axis = fd4_axis_numpy

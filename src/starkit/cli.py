@@ -28,6 +28,8 @@ EXIT_NUMERIC = 4
 EXIT_SINGULAR_TIME = 5
 EXIT_IO = 6
 
+EXPORT_FORMATS = ("csv", "json")
+
 _NUMERIC_ERRORS = (SingularGaussianError, BranchAmbiguityError,
                    ExponentOverflowError, NonFiniteError, PositivityError,
                    DegreeGuardError, NotImplementedError, OverflowError)
@@ -163,8 +165,13 @@ def cmd_evolve(args):
         initial = _scenario_state(doc, params)
         outputs = {}
         for o in doc.get("outputs", []):
-            outputs.setdefault(float(o["time"]), []).append(
-                (o.get("format", "csv"), o["path"]))
+            t, fmt = float(o["time"]), o.get("format", "csv")
+            if t not in times:
+                raise ValueError(f"output time {t:g} is not in 'times'")
+            if fmt not in EXPORT_FORMATS:
+                raise ValueError(f"unknown output format {fmt!r}; "
+                                 f"choices: {', '.join(EXPORT_FORMATS)}")
+            outputs.setdefault(t, []).append((fmt, o["path"]))
     except (KeyError, ValueError, TypeError, ExprSyntaxError,
             ExprDegreeError, ExprPowerError) as exc:
         return _fail(EXIT_CONFIG, f"bad scenario: {exc}")
@@ -335,7 +342,7 @@ def build_parser():
     _add_param_flags(p)
     p.add_argument("--grid", help="qmin,qmax,pmin,pmax,nq,np: export instead "
                    "of printing")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=EXPORT_FORMATS, default="csv")
     p.add_argument("--out")
     p.set_defaults(func=cmd_star)
 
@@ -357,7 +364,7 @@ def build_parser():
     p.add_argument("expression")
     p.add_argument("--grid", required=True,
                    help="qmin,qmax,pmin,pmax,nq,np")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=EXPORT_FORMATS, default="csv")
     p.add_argument("--out", required=True)
     _add_param_flags(p)
     p.set_defaults(func=cmd_grid)

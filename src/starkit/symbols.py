@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import EXP_LIMIT, eval_terms_grid
+from ._accel import EXP_LIMIT
 from .errors import ExponentOverflowError, NonFiniteError
 
 # Exponents whose entries agree coefficient-wise within this tolerance are
@@ -327,33 +327,116 @@ def evaluate(f, p, q):
     return total
 
 
-def _term_arrays(f):
-    n = len(f.terms)
-    coeffs = np.empty(n, dtype=np.complex128)
-    pow_p = np.empty(n, dtype=np.int64)
-    pow_q = np.empty(n, dtype=np.int64)
-    app = np.empty(n, dtype=np.complex128)
-    aqq = np.empty(n, dtype=np.complex128)
-    apq = np.empty(n, dtype=np.complex128)
-    bp = np.empty(n, dtype=np.complex128)
-    bq = np.empty(n, dtype=np.complex128)
-    for i, t in enumerate(f.terms):
-        coeffs[i] = t.coeff
-        pow_p[i] = t.pow_p
-        pow_q[i] = t.pow_q
-        app[i], aqq[i], apq[i], bp[i], bq[i] = t.expo.entries()
-    return coeffs, pow_p, pow_q, app, aqq, apq, bp, bq
+def _poly_rows(group, part):
+    """{pow_p: {pow_q: c}} of the real or imaginary parts of a group's coeffs."""
+    rows = {}
+    for t in group:
+        c = getattr(t.coeff, part)
+        if c:
+            row = rows.setdefault(t.pow_p, {})
+            row[t.pow_q] = row.get(t.pow_q, 0.0) + c
+    return rows
+
+
+def _horner(rows, P, Q, acc, inner):
+    """Real polynomial sum c * p^a * q^b at the nodes, in place in acc.
+
+    Nested Horner rule (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 5): outer in p over the pow_p rows, inner in q.  A lone
+    constant comes back as a scalar.
+    """
+    if not rows:
+        return 0.0
+    top = max(rows)
+    if top == 0 and set(rows[0]) == {0}:
+        return rows[0][0]
+    acc.fill(0.0)
+    for a in range(top, -1, -1):
+        if a < top:
+            acc *= P
+        row = rows.get(a)
+        if not row:
+            continue
+        deg = max(row)
+        if deg == 0:
+            acc += row[0]
+            continue
+        inner.fill(row[deg])
+        for b in range(deg - 1, -1, -1):
+            inner *= Q
+            c = row.get(b)
+            if c:
+                inner += c
+        acc += inner
+    return acc
+
+
+def _exponent_grid(e, P, Q, out):
+    """Quadratic form e at the nodes, written into the complex array out.
+
+    Zero entries are skipped (a Wigner exponent has only app and aqq).
+    """
+    out.fill(0)
+    for coeff, x, y in ((e.app, P, P), (e.aqq, Q, Q), (e.apq, P, Q)):
+        if coeff:
+            out += coeff * (x * y)
+    for coeff, x in ((e.bp, P), (e.bq, Q)):
+        if coeff:
+            out += coeff * x
+    return out
 
 
 def evaluate_grid(f, P, Q):
-    """Vectorized evaluation on matching arrays of p and q values."""
-    P = np.asarray(P, dtype=np.float64)
-    Q = np.asarray(Q, dtype=np.float64)
-    values, max_re = eval_terms_grid(*_term_arrays(f), P, Q)
-    if max_re > EXP_LIMIT:
-        raise ExponentOverflowError(
-            f"exponent real part {max_re:.3g} exceeds {EXP_LIMIT:g}")
-    return values
+    """Vectorized evaluation on matching arrays of p and q values.
+
+    Terms are grouped by exact exponent equality; each group costs one
+    quadratic form, one exp and one overflow check, times a 2-D Horner
+    evaluation of its polynomial factor.  The real and imaginary parts of
+    the coefficients go through Horner separately, in real arithmetic.
+    Groups are summed in the order their exponents first appear in the
+    canonical term list.
+    """
+    P, Q = np.broadcast_arrays(np.asarray(P, dtype=np.float64),
+                               np.asarray(Q, dtype=np.float64))
+    shape = P.shape
+    if not (np.isfinite(P).all() and np.isfinite(Q).all()):
+        raise NonFiniteError("evaluation points must be finite")
+    P = P.reshape(-1)
+    Q = Q.reshape(-1)
+    values = np.zeros(P.size, dtype=np.complex128)
+    groups = {}
+    for t in f.terms:
+        groups.setdefault(t.expo, []).append(t)
+    if not groups or not P.size:
+        return values.reshape(shape)
+    # fixed work arrays, updated in place for every group
+    expo = np.empty_like(values)
+    poly = np.empty_like(values)
+    acc_re = np.empty_like(P)
+    acc_im = np.empty_like(P)
+    inner = np.empty_like(P)
+    for e, group in groups.items():
+        re = _horner(_poly_rows(group, "real"), P, Q, acc_re, inner)
+        im = _horner(_poly_rows(group, "imag"), P, Q, acc_im, inner)
+        if e.is_zero():
+            values.real += re
+            values.imag += im
+            continue
+        _exponent_grid(e, P, Q, expo)
+        max_re = expo.real.max()
+        # "not <=" also catches a NaN real part
+        if not max_re <= EXP_LIMIT:
+            raise ExponentOverflowError(
+                f"exponent real part {max_re:.3g} exceeds {EXP_LIMIT:g}")
+        np.exp(expo, out=expo)
+        if isinstance(im, np.ndarray) or im:
+            poly.real = re
+            poly.imag = im
+            expo *= poly
+        else:
+            expo *= re
+        values += expo
+    return values.reshape(shape)
 
 
 @dataclass(frozen=True)

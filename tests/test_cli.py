@@ -274,6 +274,17 @@ def test_evolve_config_errors(capsys, tmp_path):
                        _write_scenario(tmp_path / "sc.json", doc))
     assert code == 2
     assert "non-decreasing" in err
+    doc["times"] = [0.0, 0.5]
+    out = tmp_path / "never.csv"
+    for entry, message in (({"time": 0.25, "path": str(out)}, "not in 'times'"),
+                           ({"time": 0.5, "format": "xml", "path": str(out)},
+                            "unknown output format")):
+        doc["outputs"] = [entry]
+        code, _, err = run(capsys, "evolve",
+                           _write_scenario(tmp_path / "sc.json", doc))
+        assert code == 2
+        assert message in err
+        assert not out.exists()
 
 
 def test_evolve_io_error(capsys, tmp_path):

@@ -7,7 +7,8 @@ import pytest
 import starkit as sk
 from starkit import dynamics, numerics
 from starkit import symbols as sym
-from starkit.errors import CFLWarning, DivergenceWarning, SpecMismatchError
+from starkit.errors import (CFLWarning, DivergenceWarning,
+                            ExponentOverflowError, SpecMismatchError)
 
 from conftest import random_polynomial
 
@@ -207,17 +208,69 @@ def test_export_two_by_two_zero_grid(tmp_path):
     assert len(lines) == 5
 
 
-def test_backends_agree():
-    from starkit import _accel
-    f = sk.damped_propagator(0.4, sym.Params(gamma=0.2))
-    arrays = sym._term_arrays(f)
-    P, Q = numerics.WIDE_SPEC.meshes()
-    v_np, m_np = _accel.eval_terms_grid_numpy(*arrays, P, Q)
-    v_nb, m_nb = _accel.eval_terms_grid_numba(*arrays, P, Q)
-    assert np.abs(v_np - v_nb).max() < 1e-13
-    assert abs(m_np - m_nb) < 1e-12
-    u = v_np
-    for axis, h in ((0, 0.06), (1, 0.06)):
-        d_np = _accel.fd4_axis_numpy(u, h, axis)
-        d_nb = _accel.fd4_axis_numba(u, h, axis)
-        assert np.abs(d_np - d_nb).max() < 1e-10
+def _grouped_symbol():
+    """Three exponent groups (one of them zero) with gaps in the powers."""
+    e1 = sym.QuadExponent(app=-0.5 + 0.1j, aqq=-0.4, apq=0.1, bp=0.2j,
+                          bq=-0.3)
+    e2 = sym.QuadExponent(app=-0.3, aqq=-0.6 - 0.2j, bq=0.1 + 0.1j)
+    return sym.normalize([
+        # polynomial group: p^3 with no p^2, pure q, pure p, a constant
+        sym.Term(0.7 - 0.2j, 3, 0), sym.Term(-1.5, 0, 4),
+        sym.Term(0.25j, 1, 0), sym.Term(2.0, 0, 0), sym.Term(0.3, 2, 3),
+        # one Gaussian group with real, imaginary and complex coefficients
+        sym.Term(1.25, 0, 0, e1), sym.Term(-0.5j, 0, 3, e1),
+        sym.Term(0.4 + 0.6j, 4, 1, e1), sym.Term(0.2, 1, 0, e1),
+        # a second Gaussian group with one imaginary constant and a monomial
+        sym.Term(3j, 0, 0, e2), sym.Term(-0.1, 2, 2, e2),
+    ])
+
+
+def _pointwise(f, P, Q):
+    out = np.empty(P.shape, dtype=np.complex128)
+    for idx in np.ndindex(P.shape):
+        out[idx] = sym.evaluate(f, float(P[idx]), float(Q[idx]))
+    return out
+
+
+def test_evaluate_grid_matches_pointwise_evaluate():
+    f = _grouped_symbol()
+    assert len({t.expo for t in f.terms}) == 3
+    P, Q = sym.SAMPLE_SPEC.meshes()
+    rng = np.random.default_rng(2024)
+    Pn = rng.uniform(-3.0, 3.0, size=(4, 7))
+    Qn = rng.uniform(-3.0, 3.0, size=(4, 7))
+    for g in (f, sk.damped_propagator(0.4, sym.Params(gamma=0.2)),
+              sk.sho_wigner_eigenstate(6)):
+        for PP, QQ in ((P, Q), (Pn, Qn)):
+            grid = sym.evaluate_grid(g, PP, QQ)
+            ref = _pointwise(g, PP, QQ)
+            assert grid.shape == PP.shape
+            assert np.all(np.abs(grid - ref) <= 1e-12 * np.abs(ref))
+    zero = sym.evaluate_grid(sym.ZERO, Pn, Qn)
+    assert zero.shape == Pn.shape and not zero.any()
+
+
+def test_evaluate_grid_overflow_in_one_group():
+    ok = sym.gaussian(1.0, app=-0.5, aqq=-0.5)
+    bad = sym.gaussian(2.0, app=0.5)
+    f = ok + sym.monomial(1.0, 2, 1) + bad
+    assert len({t.expo for t in f.terms}) == 3
+    P, Q = np.array([[1.0, 40.0]]), np.array([[0.0, 0.0]])
+    with pytest.raises(ExponentOverflowError):
+        sym.evaluate_grid(f, P, Q)
+    # below EXP_LIMIT on every node the same symbol evaluates
+    assert np.all(np.isfinite(sym.evaluate_grid(f, P / 2, Q)))
+
+
+def test_fd4_axis_exact_on_quartic():
+    from starkit._accel import fd4_axis
+    spec = sym.GridSpec(-1.0, 2.0, -1.5, 1.0, 13, 11)
+    P, Q = spec.meshes()
+    u = (0.5 * Q**4 - Q**3 + 2j * Q**2 * P**2 + P**4 - 3.0 * Q * P
+         + 0.25j * P**3 + 1.0)
+    dq = (spec.q_max - spec.q_min) / (spec.nq - 1)
+    dp = (spec.p_max - spec.p_min) / (spec.np - 1)
+    du_dq = 2.0 * Q**3 - 3.0 * Q**2 + 4j * Q * P**2 - 3.0 * P
+    du_dp = 4j * Q**2 * P + 4.0 * P**3 - 3.0 * Q + 0.75j * P**2
+    assert np.abs(fd4_axis(u, dq, 0) - du_dq).max() < 1e-10
+    assert np.abs(fd4_axis(u, dp, 1) - du_dp).max() < 1e-10

@@ -174,6 +174,19 @@ def test_evaluate_overflow():
         sym.evaluate_grid(g, np.array([[40.0]]), np.array([[0.0]]))
 
 
+def test_evaluate_grid_non_finite_nodes():
+    g = sym.gaussian(1.0, app=-1.0)
+    with pytest.raises(NonFiniteError):
+        sym.evaluate(g, float("nan"), 0.0)
+    for P, Q in (([[np.nan, np.inf]], [[0.0, 0.0]]),
+                 ([[0.0, 1.0]], [[0.0, -np.inf]])):
+        with pytest.raises(NonFiniteError):
+            sym.evaluate_grid(g, np.array(P), np.array(Q))
+    # the zero symbol is no exception
+    with pytest.raises(NonFiniteError):
+        sym.evaluate_grid(sym.ZERO, np.array([[np.nan]]), np.array([[0.0]]))
+
+
 def test_approx_equal():
     f = sk.sho_wigner_eigenstate(0)
     assert sym.approx_equal(f, f, 1e-10).ok
