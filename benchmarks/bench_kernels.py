@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
-"""Time the two numpy grid kernels.
+"""Time the numpy grid kernels and the symbolic maps on Wigner states.
 
 - `evaluate_grid` on the 325-term Wigner state n = 24 over the 201x201
   `WIDE_SPEC` lattice (one exponent group: one exp and one 2-D Horner).
 - 100 RK4 steps of the damped advection oracle on the same lattice.
+- `transition.apply` on the Wigner state n = 12 (damped gamma = 0.2 and
+  husimi s = 1) and `dynamics.pullback` of the same state along the damped
+  flow at t = 1.
 
 Run from the repository root as
 
@@ -18,7 +21,7 @@ import time
 import numpy as np
 
 import starkit as sk
-from starkit import numerics, oscillator
+from starkit import dynamics, numerics, oscillator, transition
 from starkit import symbols as sym
 from starkit.numerics import WIDE_SPEC
 
@@ -62,6 +65,20 @@ def bench_rk4(steps=100, dt=1e-3):
     report("time", med, best)
 
 
+def bench_maps(n=12):
+    state = sk.sho_wigner_eigenstate(n)
+    params = sym.Params(gamma=0.2)
+    print(f"symbolic maps: Wigner n={n}, {len(state.terms)} terms")
+    for label, op in (("apply damped(0.2)", transition.damped_transition(0.2)),
+                      ("apply husimi(1.0)", transition.husimi_transition(1.0))):
+        med, best, _ = timeit(lambda: transition.apply(op, state), 7)
+        report(label, med, best)
+    flow = dynamics.flow_map(1.0, params)
+    med, best, _ = timeit(lambda: dynamics.pullback(state, flow), 7)
+    report("pullback t=1", med, best)
+
+
 if __name__ == "__main__":
     bench_eval()
     bench_rk4()
+    bench_maps()

@@ -21,7 +21,7 @@ from . import symbols as sym
 from .errors import PositivityError
 from .oscillator import energy, hamiltonian, sho_offdiagonal
 from .star import damped_ad, damped_star, moyal_star, star_commutator
-from .symbols import Params, Term
+from .symbols import Params
 
 
 @dataclass(frozen=True)
@@ -60,36 +60,8 @@ def flow_map(t, params=Params()):
 
 
 def pullback(rho, flow):
-    """Substitute the linear map into the symbol: (rho o L)(x) = rho(L x).
-
-    Monomials expand binomially; quadratic exponents transform by
-    congruence L^T A L; exact within the class.
-    """
-    L = flow.matrix()
-    lqq, lqp = L[0]
-    lpq, lpp = L[1]
-    raw = []
-    for t in rho.terms:
-        e = t.expo
-        A = np.array([[e.aqq, e.apq / 2.0], [e.apq / 2.0, e.app]],
-                     dtype=np.complex128)
-        b = np.array([e.bq, e.bp], dtype=np.complex128)
-        A2 = L.T @ A @ L
-        b2 = L.T @ b
-        expo = sym.QuadExponent(app=A2[1, 1], aqq=A2[0, 0],
-                                apq=A2[0, 1] + A2[1, 0], bp=b2[1], bq=b2[0])
-        # (lqq q + lqp p)^pow_q (lpq q + lpp p)^pow_p
-        for i in range(t.pow_q + 1):
-            ci = (math.comb(t.pow_q, i) * lqq ** i * lqp ** (t.pow_q - i))
-            if ci == 0:
-                continue
-            for j in range(t.pow_p + 1):
-                cj = (math.comb(t.pow_p, j) * lpq ** j * lpp ** (t.pow_p - j))
-                if cj == 0:
-                    continue
-                raw.append(Term(t.coeff * ci * cj,
-                                (t.pow_q - i) + (t.pow_p - j), i + j, expo))
-    return sym.normalize(raw)
+    """Substitute the linear map into the symbol: (rho o L)(x) = rho(L x)."""
+    return sym.substitute(rho, flow.matrix())
 
 
 def evolve_classical(rho0, t, params=Params()):

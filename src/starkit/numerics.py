@@ -8,7 +8,6 @@ and smoothing integrals, and deterministic CSV/JSON grid export.
 """
 
 import json
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -79,7 +78,7 @@ def star_series_oracle(f, g, star, N, spec):
     """
     if N > 40:
         raise ValueError("truncation order capped at 40")
-    from .star import _DerivCache, _multi_indices  # series helpers only
+    from .star import _DerivCache, _series_terms  # series helpers only
 
     B = star.matrix()
     P, Q = spec.meshes()
@@ -89,20 +88,9 @@ def star_series_oracle(f, g, star, N, spec):
     last = 0.0
     for n in range(N + 1):
         order_vals = np.zeros(P.shape, dtype=np.complex128)
-        for kqq, kqp, kpq, kpp in _multi_indices(n):
-            c = 1.0 + 0j
-            for (i, j), k in zip(((0, 0), (0, 1), (1, 0), (1, 1)),
-                                 (kqq, kqp, kpq, kpp)):
-                if k == 0:
-                    continue
-                if B[i][j] == 0:
-                    c = 0j
-                    break
-                c *= B[i][j] ** k / math.factorial(k)
-            if c == 0:
-                continue
-            left = df.get(kqq + kqp, kpq + kpp)
-            right = dg.get(kqq + kpq, kqp + kpp)
+        for c, left, right in _series_terms(B, n):
+            left = df.get(*left)
+            right = dg.get(*right)
             if left.is_zero() or right.is_zero():
                 continue
             order_vals += c * (sym.evaluate_grid(left, P, Q)

@@ -82,12 +82,25 @@ def bracket(f, g, gamma, params=Params()):
     return out
 
 
-def _multi_indices(n):
-    """All (k_qq, k_qp, k_pq, k_pp) with sum n."""
+def _series_terms(B, n):
+    """(coeff, left orders, right orders) of the order-n part of exp(dL^T B dR).
+
+    One entry per multi-index (k_qq, k_qp, k_pq, k_pp) with sum n and
+    nonzero coefficient prod B_ij^k_ij / k_ij!; the orders are the
+    (d_q, d_p) derivative counts on the left and the right factor.
+    """
     for kqq in range(n + 1):
         for kqp in range(n + 1 - kqq):
             for kpq in range(n + 1 - kqq - kqp):
-                yield (kqq, kqp, kpq, n - kqq - kqp - kpq)
+                kpp = n - kqq - kqp - kpq
+                c = 1.0 + 0j
+                for (i, j), k in zip(((0, 0), (0, 1), (1, 0), (1, 1)),
+                                     (kqq, kqp, kpq, kpp)):
+                    if k:
+                        c *= B[i][j] ** k / math.factorial(k)
+                if c == 0:
+                    continue
+                yield c, (kqq + kqp, kpq + kpp), (kqq + kpq, kqp + kpp)
 
 
 class _DerivCache:
@@ -110,39 +123,15 @@ def _series_star(f, g, B, n_max):
     dg = _DerivCache(g)
     raw = []
     for n in range(n_max + 1):
-        for kqq, kqp, kpq, kpp in _multi_indices(n):
-            c = 1.0 + 0j
-            for (i, j), k in zip(((0, 0), (0, 1), (1, 0), (1, 1)),
-                                 (kqq, kqp, kpq, kpp)):
-                if k == 0:
-                    continue
-                if B[i][j] == 0:
-                    c = 0j
-                    break
-                c *= B[i][j] ** k / math.factorial(k)
-            if c == 0:
-                continue
-            left = df.get(kqq + kqp, kpq + kpp)
-            right = dg.get(kqq + kpq, kqp + kpp)
+        for c, left, right in _series_terms(B, n):
+            left = df.get(*left)
+            right = dg.get(*right)
             if left.is_zero() or right.is_zero():
                 continue
             prod = sym.pointwise_multiply(left, right)
             raw.extend(Term(t.coeff * c, t.pow_p, t.pow_q, t.expo)
                        for t in prod.terms)
     return sym.normalize(raw)
-
-
-def _quad_matrix(expo):
-    """Exponent as x^T A x + b^T x with x = (q, p)."""
-    A = np.array([[expo.aqq, expo.apq / 2.0],
-                  [expo.apq / 2.0, expo.app]], dtype=np.complex128)
-    b = np.array([expo.bq, expo.bp], dtype=np.complex128)
-    return A, b
-
-
-def _from_quad(coeff, A, b):
-    return Term(coeff, 0, 0, sym.QuadExponent(
-        app=A[1, 1], aqq=A[0, 0], apq=A[0, 1] + A[1, 0], bp=b[1], bq=b[0]))
 
 
 def _sqrt_prefactor(det):
@@ -167,8 +156,8 @@ def _gaussian_pair_star(t1, t2, B):
     with S = [[0, B], [B^T, 0]], K = I - 2 S blockdiag(A1, A2) and
     J(x) = (2 A1 x + b1; 2 A2 x + b2).
     """
-    A1, b1 = _quad_matrix(t1.expo)
-    A2, b2 = _quad_matrix(t2.expo)
+    A1, b1 = t1.expo.quad_form()
+    A2, b2 = t2.expo.quad_form()
     S = np.zeros((4, 4), dtype=np.complex128)
     S[:2, 2:] = B
     S[2:, :2] = B.T
@@ -186,7 +175,8 @@ def _gaussian_pair_star(t1, t2, B):
     db = G.T @ (N @ h)
     dc = 0.5 * complex(h @ (N @ h))
     coeff = t1.coeff * t2.coeff * pref * cmath.exp(dc)
-    return _from_quad(coeff, A1 + A2 + dA, b1 + b2 + db)
+    return Term(coeff, 0, 0,
+                sym.QuadExponent.from_quad_form(A1 + A2 + dA, b1 + b2 + db))
 
 
 def star_product(f, g, star):

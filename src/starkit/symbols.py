@@ -5,7 +5,7 @@ A symbol is a finite sum of terms
     coeff * p^a * q^b * exp(app*p^2 + aqq*q^2 + apq*p*q + bp*p + bq*q)
 
 with complex coefficients throughout.  The class is closed under addition,
-pointwise multiplication, differentiation, complex conjugation and linear
+pointwise multiplication, differentiation, complex conjugation and affine
 substitution of (q, p), which is everything the star-product machinery
 needs.  Symbols are immutable after normalization; every operation here is
 a pure function.
@@ -77,6 +77,19 @@ class QuadExponent:
     def value_at(self, p, q):
         return (self.app * p * p + self.aqq * q * q + self.apq * p * q
                 + self.bp * p + self.bq * q)
+
+    def quad_form(self):
+        """(A, b) with exponent x^T A x + b^T x, x = (q, p), A symmetric."""
+        A = np.array([[self.aqq, self.apq / 2], [self.apq / 2, self.app]],
+                     dtype=np.complex128)
+        return A, np.array([self.bq, self.bp], dtype=np.complex128)
+
+    @classmethod
+    def from_quad_form(cls, A, b):
+        """Inverse of quad_form; only the symmetric part of A counts."""
+        return cls(app=complex(A[1, 1]), aqq=complex(A[0, 0]),
+                   apq=complex(A[0, 1] + A[1, 0]), bp=complex(b[1]),
+                   bq=complex(b[0]))
 
 
 ZERO_EXPO = QuadExponent()
@@ -313,24 +326,81 @@ def conjugate(f):
                            t.expo.conjugate()) for t in f.terms])
 
 
+def exponent_groups(f):
+    """{exponent: polynomial factor}, in the order exponents first appear.
+
+    f is the sum over the groups of polynomial * exp(exponent).
+    """
+    groups = {}
+    for t in f.terms:
+        groups.setdefault(t.expo, []).append(Term(t.coeff, t.pow_p, t.pow_q))
+    # a sub-list of a canonical term list is canonical
+    return {e: Symbol(tuple(ts)) for e, ts in groups.items()}
+
+
+def _poly_mul(a, b):
+    """Product of two {(pow_p, pow_q): coeff} polynomials."""
+    out = {}
+    for (i, j), c in a.items():
+        for (k, m), d in b.items():
+            out[i + k, j + m] = out.get((i + k, j + m), 0) + c * d
+    return out
+
+
+def substitute(f, L, shift=(0, 0)):
+    """The affine pullback x -> f(L x + shift), x = (q, p); exact in the class.
+
+    Monomials expand into products of powers of the two affine forms, and
+    an exponent (A, b) goes by congruence to (L^T A L, L^T (2 A s + b)),
+    its constant s^T A s + b^T s moving into the coefficients.
+    """
+    L = np.asarray(L, dtype=np.complex128)
+    s = np.asarray(shift, dtype=np.complex128)
+    # powers[k][n]: n-th power of the affine form replacing q (k=0) or p (k=1)
+    powers = []
+    for k in (0, 1):
+        form = {(0, 1): L[k, 0], (1, 0): L[k, 1], (0, 0): s[k]}
+        powers.append([{(0, 0): 1.0},
+                       {key: complex(c) for key, c in form.items() if c}])
+
+    def power(k, n):
+        pw = powers[k]
+        while len(pw) <= n:
+            pw.append(_poly_mul(pw[-1], pw[1]))
+        return pw[n]
+
+    raw = []
+    for e, poly in exponent_groups(f).items():
+        A, b = e.quad_form()
+        expo = QuadExponent.from_quad_form(L.T @ A @ L, L.T @ (2 * A @ s + b))
+        c0 = cmath.exp(s @ A @ s + b @ s)
+        for t in poly.terms:
+            c = t.coeff * c0
+            expanded = _poly_mul(power(1, t.pow_p), power(0, t.pow_q))
+            raw.extend(Term(c * d, i, j, expo)
+                       for (i, j), d in expanded.items())
+    return normalize(raw)
+
+
 def evaluate(f, p, q):
-    """Value of the symbol at a real phase-space point."""
-    if not (math.isfinite(p) and math.isfinite(q)):
+    """Value of the symbol at a phase-space point (complex points allowed)."""
+    if not (cmath.isfinite(p) and cmath.isfinite(q)):
         raise NonFiniteError("evaluation point must be finite")
     total = 0j
     for t in f.terms:
         e = t.expo.value_at(p, q)
-        if e.real > EXP_LIMIT:
+        # "not <=" also catches a NaN real part
+        if not e.real <= EXP_LIMIT:
             raise ExponentOverflowError(
                 f"exponent real part {e.real:.3g} exceeds {EXP_LIMIT:g}")
         total += t.coeff * (p ** t.pow_p) * (q ** t.pow_q) * cmath.exp(e)
     return total
 
 
-def _poly_rows(group, part):
-    """{pow_p: {pow_q: c}} of the real or imaginary parts of a group's coeffs."""
+def _poly_rows(poly, part):
+    """{pow_p: {pow_q: c}} of the real or imaginary parts of a polynomial."""
     rows = {}
-    for t in group:
+    for t in poly.terms:
         c = getattr(t.coeff, part)
         if c:
             row = rows.setdefault(t.pow_p, {})
@@ -389,12 +459,12 @@ def _exponent_grid(e, P, Q, out):
 def evaluate_grid(f, P, Q):
     """Vectorized evaluation on matching arrays of p and q values.
 
-    Terms are grouped by exact exponent equality; each group costs one
-    quadratic form, one exp and one overflow check, times a 2-D Horner
-    evaluation of its polynomial factor.  The real and imaginary parts of
-    the coefficients go through Horner separately, in real arithmetic.
-    Groups are summed in the order their exponents first appear in the
-    canonical term list.
+    Terms are grouped by exact exponent equality (exponent_groups); each
+    group costs one quadratic form, one exp and one overflow check, times a
+    2-D Horner evaluation of its polynomial factor.  The real and imaginary
+    parts of the coefficients go through Horner separately, in real
+    arithmetic.  Groups are summed in the order their exponents first
+    appear in the canonical term list.
     """
     P, Q = np.broadcast_arrays(np.asarray(P, dtype=np.float64),
                                np.asarray(Q, dtype=np.float64))
@@ -404,9 +474,7 @@ def evaluate_grid(f, P, Q):
     P = P.reshape(-1)
     Q = Q.reshape(-1)
     values = np.zeros(P.size, dtype=np.complex128)
-    groups = {}
-    for t in f.terms:
-        groups.setdefault(t.expo, []).append(t)
+    groups = exponent_groups(f)
     if not groups or not P.size:
         return values.reshape(shape)
     # fixed work arrays, updated in place for every group

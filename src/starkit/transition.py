@@ -8,16 +8,18 @@ instances:
     husimi(s)    C_qq = hbar s^2/2, C_pp = hbar/(2 s^2)
                                              maps moyal products to husimi ones
 
-The action on the symbol class is exact: polynomial terms terminate a
-Taylor series by degree; a pure-Gaussian term has the closed-form image
+The action on the symbol class is exact, one exponent group at a time.
+Write a group as P(q, p) exp(x^T A x + beta^T x) with x = (q, p),
+K = I - 2CA and R = K^{-1} C.  Averaging the group over Gaussian shifts
+of covariance C gives its image
 
-    det(I - 2CA)^(-1/2) exp(x^T A' x + b'^T x + (1/2) b^T R b),
-    R = (I - 2CA)^{-1} C,  A' = A + 2 A R A,  b' = (I + 2 A R) b,
+    det(K)^(-1/2) e^{(1/2) beta^T R beta}
+        * exp(x^T A K^{-1} x + (K^{-T} beta)^T x)
+        * [exp((1/2) grad^T R grad) P](K^{-1} (x + C beta)),
 
-obtained from the same Gaussian-average argument as the Gaussian star
-product; a monomial prefactor p^a q^b is produced by differentiating the
-parameterized image with respect to the linear exponent coefficients
-(bp, bq), which stays inside the class.
+a terminating Taylor series in R on the polynomial factor (it stops at
+the polynomial's degree) composed with an affine substitution.  The
+pure-polynomial group is the case A = 0, beta = 0, where K = I and R = C.
 """
 
 import cmath
@@ -68,107 +70,49 @@ def inverse(op):
 
 def _half_laplacian(f, C):
     """(1/2) grad^T C grad applied to a symbol."""
-    fqq = sym.differentiate(f, "q", 2)
-    fpp = sym.differentiate(f, "p", 2)
-    fqp = sym.differentiate(sym.differentiate(f, "q"), "p")
     out = sym.ZERO
-    if C[0, 0] != 0:
-        out = sym.combine(out, 1.0, fqq, 0.5 * C[0, 0])
-    if C[1, 1] != 0:
-        out = sym.combine(out, 1.0, fpp, 0.5 * C[1, 1])
-    if C[0, 1] != 0:
-        out = sym.combine(out, 1.0, fqp, C[0, 1])
+    for c, (u, v) in ((0.5 * C[0, 0], "qq"), (0.5 * C[1, 1], "pp"),
+                      (C[0, 1], "qp")):
+        if c != 0:
+            d = sym.differentiate(sym.differentiate(f, u), v)
+            out = sym.combine(out, 1.0, d, c)
     return out
 
 
 def _apply_polynomial(f, C):
     """Finite Taylor series of exp((1/2) grad^T C grad); terminates by degree."""
-    acc = f
+    raw = list(f.terms)
     cur = f
     k = 0
     while not cur.is_zero():
         k += 1
         cur = sym.scale(_half_laplacian(cur, C), 1.0 / k)
-        acc = sym.combine(acc, 1.0, cur, 1.0)
-    return acc
-
-
-def _formal_derivative_poly(a, b, R):
-    """Coefficients D[(i,j)] of the (a+b)-fold derivative of
-    exp((1/2) beta^T R beta + beta^T u) with respect to beta_p (a times)
-    and beta_q (b times), as a polynomial in h_q, h_p where
-    h_k = (R beta + u)_k and d h_j / d beta_k = R[k, j]."""
-    D = {(0, 0): 1.0 + 0j}
-
-    def step(k):  # k = 0 for beta_q, 1 for beta_p
-        out = {}
-        for (i, j), c in D.items():
-            key = (i + (1 - k), j + k)  # multiply by h_q or h_p
-            out[key] = out.get(key, 0j) + c
-            if i:  # d/d beta_k of h_q^i
-                key = (i - 1, j)
-                out[key] = out.get(key, 0j) + c * i * R[k, 0]
-            if j:
-                key = (i, j - 1)
-                out[key] = out.get(key, 0j) + c * j * R[k, 1]
-        return out
-
-    for _ in range(a):
-        D = step(1)
-    for _ in range(b):
-        D = step(0)
-    return D
-
-
-def _apply_gaussian_term(t, C):
-    """Closed-form image of coeff * p^a * q^b * exp(x^T A x + beta^T x)."""
-    e = t.expo
-    A = np.array([[e.aqq, e.apq / 2.0], [e.apq / 2.0, e.app]],
-                 dtype=np.complex128)
-    beta = np.array([e.bq, e.bp], dtype=np.complex128)
-    K = np.eye(2, dtype=np.complex128) - 2.0 * C @ A
-    pref = _sqrt_prefactor(complex(np.linalg.det(K)))
-    R = np.linalg.solve(K, C)
-    R = 0.5 * (R + R.T)
-    A2 = A + 2.0 * A @ R @ A
-    A2 = 0.5 * (A2 + A2.T)
-    b2 = beta + 2.0 * A @ (R @ beta)
-    coeff = t.coeff * pref * cmath.exp(0.5 * complex(beta @ (R @ beta)))
-    base = Term(coeff, 0, 0, sym.QuadExponent(
-        app=A2[1, 1], aqq=A2[0, 0], apq=A2[0, 1] + A2[1, 0],
-        bp=b2[1], bq=b2[0]))
-    if t.pow_p == 0 and t.pow_q == 0:
-        return sym.Symbol((base,))
-    # monomial prefactor: differentiate the image w.r.t. beta, then set
-    # beta to the term's value; h_k = (R beta)_k + ((I + 2 R A) x)_k
-    S = np.eye(2, dtype=np.complex128) + 2.0 * R @ A
-    Rb = R @ beta
-    h = [sym.normalize([Term(Rb[k], 0, 0), Term(S[k, 1], 1, 0),
-                        Term(S[k, 0], 0, 1)]) for k in (0, 1)]
-    D = _formal_derivative_poly(t.pow_p, t.pow_q, R)
-    poly = sym.ZERO
-    for (i, j), c in D.items():
-        piece = sym.const(c)
-        for _ in range(i):
-            piece = sym.pointwise_multiply(piece, h[0])
-        for _ in range(j):
-            piece = sym.pointwise_multiply(piece, h[1])
-        poly = sym.combine(poly, 1.0, piece, 1.0)
-    return sym.pointwise_multiply(poly, sym.Symbol((base,)))
+        raw.extend(cur.terms)
+    return sym.normalize(raw)
 
 
 def apply(op, f):
-    """Image of a symbol under the transition operator; linear and exact."""
+    """Image of a symbol under the transition operator; linear and exact.
+
+    One closed form per exponent group P * exp(x^T A x + beta^T x); the
+    pure-polynomial group is the case A = 0, beta = 0.
+    """
     C = op.matrix()
-    poly_terms = [t for t in f.terms if t.expo.is_zero()]
-    out = sym.ZERO
-    if poly_terms:
-        out = _apply_polynomial(sym.Symbol(tuple(poly_terms)), C)
-    for t in f.terms:
-        if t.expo.is_zero():
-            continue
-        out = sym.combine(out, 1.0, _apply_gaussian_term(t, C), 1.0)
-    return out
+    raw = []
+    for e, poly in sym.exponent_groups(f).items():
+        A, beta = e.quad_form()
+        K = np.eye(2) - 2.0 * C @ A
+        det = K[0, 0] * K[1, 1] - K[0, 1] * K[1, 0]
+        pref = _sqrt_prefactor(complex(det))
+        Kinv = np.array([[K[1, 1], -K[0, 1]], [-K[1, 0], K[0, 0]]]) / det
+        R = Kinv @ C
+        R = 0.5 * (R + R.T)  # symmetric analytically; enforce numerically
+        image = sym.substitute(_apply_polynomial(poly, R), Kinv, R @ beta)
+        coeff = pref * cmath.exp(0.5 * complex(beta @ R @ beta))
+        expo = sym.QuadExponent.from_quad_form(A @ Kinv, Kinv.T @ beta)
+        raw.extend(Term(t.coeff * coeff, t.pow_p, t.pow_q, expo)
+                   for t in image.terms)
+    return sym.normalize(raw)
 
 
 def check_equivalence(f, g, source, target, op):

@@ -2,21 +2,13 @@ import numpy as np
 import pytest
 
 from starkit import symbols as sym
+# the same draws as the seeded `starkit verify` suites
+from starkit.verify import _random_polynomial as random_polynomial
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(987654321)
-
-
-def random_polynomial(rng, max_degree=4, n_terms=5, scale=0.25):
-    coeffs = {}
-    for _ in range(n_terms):
-        pp = int(rng.integers(0, max_degree + 1))
-        pq = int(rng.integers(0, max_degree + 1 - pp))
-        c = complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
-        coeffs[(pp, pq)] = coeffs.get((pp, pq), 0j) + c
-    return sym.poly_symbol(coeffs)
 
 
 def random_symbol(rng, n_terms=2, real=False):

@@ -172,6 +172,13 @@ def test_evaluate_overflow():
         sym.evaluate(g, 40.0, 0.0)
     with pytest.raises(ExponentOverflowError):
         sym.evaluate_grid(g, np.array([[40.0]]), np.array([[0.0]]))
+    # inf - inf: the exponent's real part is NaN, which must not pass
+    g = sym.gaussian(1.0, app=1.0, aqq=-1.0)
+    with pytest.raises(ExponentOverflowError):
+        sym.evaluate(g, 1e200, 1e200)
+    with pytest.raises(ExponentOverflowError), \
+            np.errstate(over="ignore", invalid="ignore"):
+        sym.evaluate_grid(g, np.array([[1e200]]), np.array([[1e200]]))
 
 
 def test_evaluate_grid_non_finite_nodes():
@@ -185,6 +192,38 @@ def test_evaluate_grid_non_finite_nodes():
     # the zero symbol is no exception
     with pytest.raises(NonFiniteError):
         sym.evaluate_grid(sym.ZERO, np.array([[np.nan]]), np.array([[0.0]]))
+
+
+def test_exponent_groups_partition_the_terms(rng):
+    f = sym.combine(random_symbol(rng, n_terms=4), 1.0,
+                    sym.poly_symbol({(2, 1): 0.5, (0, 0): -1j}), 1.0)
+    groups = sym.exponent_groups(f)
+    assert sym.ZERO_EXPO in groups
+    assert all(poly.is_polynomial() for poly in groups.values())
+    rebuilt = sym.normalize([sym.Term(t.coeff, t.pow_p, t.pow_q, e)
+                             for e, poly in groups.items()
+                             for t in poly.terms])
+    assert rebuilt == f
+
+
+def test_substitute_matches_evaluate_at_mapped_nodes():
+    # f(L x + s) with complex, non-diagonal L; exponents carry beta != 0
+    expo = sym.QuadExponent(app=-0.6 + 0.1j, aqq=-0.8, apq=0.2 - 0.1j,
+                            bp=0.3 - 0.2j, bq=-0.4 + 0.1j)
+    f = sym.normalize([sym.Term(1.0 - 0.5j, 2, 1, expo),
+                       sym.Term(0.7, 0, 3, expo),
+                       sym.Term(-0.2j, 1, 0, expo.conjugate()),
+                       sym.Term(0.4, 2, 2), sym.Term(1.5j, 0, 1)])
+    L = np.array([[0.9 + 0.1j, 0.2 - 0.1j], [-0.3 + 0.05j, 1.1 - 0.2j]])
+    shift = np.array([0.2 - 0.1j, -0.3 + 0.2j])
+    g = sym.substitute(f, L, shift)
+    nodes = np.random.default_rng(5).uniform(-2.0, 2.0, size=(20, 2))
+    for q, p in nodes:
+        yq, yp = L @ np.array([q, p]) + shift
+        want = sym.evaluate(f, complex(yp), complex(yq))
+        assert abs(sym.evaluate(g, p, q) - want) <= 1e-12 * (1 + abs(want))
+    # the identity map changes nothing
+    assert sym.substitute(f, np.eye(2)) == f
 
 
 def test_approx_equal():

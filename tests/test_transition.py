@@ -92,22 +92,6 @@ def test_check_equivalence_needs_polynomials():
             transition.standard_transition(par))
 
 
-def test_polynomial_path_matches_gaussian_engine(rng):
-    # the closed-form Gaussian engine with a zero quadratic form must agree
-    # with the terminating Taylor series on polynomial terms
-    ops = [transition.damped_transition(0.2),
-           transition.standard_transition(),
-           transition.husimi_transition(1.3)]
-    for op in ops:
-        C = op.matrix()
-        for _ in range(5):
-            pp, pq = int(rng.integers(0, 4)), int(rng.integers(0, 4))
-            term = sym.Term(1.0 + 0.5j, pp, pq, sym.ZERO_EXPO)
-            taylor = transition._apply_polynomial(sym.Symbol((term,)), C)
-            closed = transition._apply_gaussian_term(term, C)
-            assert sym.residual(taylor, closed) < 1e-12
-
-
 def _shift_bq(f, h):
     t = f.terms[0]
     e = t.expo
@@ -130,6 +114,59 @@ def test_prefactor_images_match_parameter_differences():
     fd = (plus - minus) / (2 * h)
     got = sym.evaluate_grid(image_qg, P, Q)
     assert np.abs(got - fd).max() < 1e-8
+
+
+def _shift_bp(f, h):
+    t = f.terms[0]
+    e = t.expo
+    return sym.Symbol((sym.Term(t.coeff, t.pow_p, t.pow_q, sym.QuadExponent(
+        e.app, e.aqq, e.apq, e.bp + h, e.bq)),))
+
+
+def test_prefactor_images_match_bp_differences():
+    # p^a q^b G is the (a, b)-fold (bp, bq)-derivative of G, so its image is
+    # that derivative of the pure-Gaussian image (central differences)
+    base = sym.gaussian(1.3, app=-0.7 + 0.1j, aqq=-0.5, apq=0.15,
+                        bp=0.2, bq=-0.1)
+    P, Q = sym.SAMPLE_SPEC.meshes()
+    ops = [transition.damped_transition(0.25),
+           transition.standard_transition(),
+           transition.husimi_transition(1.0)]
+    for op in ops:
+        def image_at(i, j, h):
+            shifted = _shift_bq(_shift_bp(base, i * h), j * h)
+            return sym.evaluate_grid(transition.apply(op, shifted), P, Q)
+
+        def prefactor_image(pow_p, pow_q):
+            f = sym.pointwise_multiply(sym.monomial(1.0, pow_p, pow_q), base)
+            return sym.evaluate_grid(transition.apply(op, f), P, Q)
+
+        h = 1e-5
+        fd = (image_at(1, 0, h) - image_at(-1, 0, h)) / (2 * h)
+        assert np.abs(prefactor_image(1, 0) - fd).max() < 1e-8
+        h = 1e-4
+        fd = (image_at(1, 1, h) - image_at(1, -1, h) - image_at(-1, 1, h)
+              + image_at(-1, -1, h)) / (4 * h * h)
+        assert np.abs(prefactor_image(1, 1) - fd).max() < 1e-6
+        h = 1e-3
+        fd = sum(w * (image_at(i, 1, h) - image_at(i, -1, h))
+                 for i, w in ((1, 1.0), (0, -2.0), (-1, 1.0))) / (2 * h ** 3)
+        assert np.abs(prefactor_image(2, 1) - fd).max() < 1e-5
+
+
+def test_apply_solves_once_per_exponent_group(monkeypatch):
+    rho = sk.sho_wigner_eigenstate(6)
+    assert len({t.expo for t in rho.terms}) == 1 and len(rho.terms) > 1
+    calls = []
+
+    def counting(det):
+        calls.append(det)
+        return sqrt_prefactor(det)
+
+    sqrt_prefactor = transition._sqrt_prefactor
+    monkeypatch.setattr(transition, "_sqrt_prefactor", counting)
+    transition.apply(transition.damped_transition(0.2), rho)
+    assert len(calls) == 1
 
 
 def test_prefactor_image_second_order():
@@ -186,18 +223,21 @@ def test_husimi_distribution_fixed_point_and_broadening():
 def test_husimi_matches_convolution_quadrature():
     from starkit import numerics
     par = sym.Params()
-    s = 1.0
-    rho0 = sk.sho_wigner_eigenstate(0, par)
-    image = transition.husimi_distribution(rho0, s, par)
-    for q0, p0 in [(0.0, 0.0), (1.5, -0.75), (-2.25, 0.75)]:
-        def integrand(Pp, Qp):
-            kern = np.exp(-((q0 - Qp) ** 2 / s ** 2 + s ** 2 * (p0 - Pp) ** 2)
-                          / par.hbar)
-            return sym.evaluate_grid(rho0, Pp, Qp) * kern
+    # the ground state, and monomials on a tilted, off-centre Gaussian
+    expo = sym.QuadExponent(app=-0.6, aqq=-0.8, apq=0.3, bp=0.4, bq=-0.5)
+    member = sym.normalize([sym.Term(1.0, 1, 2, expo),
+                            sym.Term(0.5 - 0.25j, 0, 1, expo)])
+    for s, rho in ((1.0, sk.sho_wigner_eigenstate(0, par)), (1.3, member)):
+        image = transition.husimi_distribution(rho, s, par)
+        for q0, p0 in [(0.0, 0.0), (1.5, -0.75), (-2.25, 0.75)]:
+            def integrand(Pp, Qp):
+                kern = np.exp(-((q0 - Qp) ** 2 / s ** 2
+                                + s ** 2 * (p0 - Pp) ** 2) / par.hbar)
+                return sym.evaluate_grid(rho, Pp, Qp) * kern
 
-        quad = numerics.gauss_legendre_2d(integrand, -8, 8, -8, 8,
-                                          order=60) / (np.pi * par.hbar)
-        assert abs(sym.evaluate(image, p0, q0) - quad) < 1e-6
+            quad = numerics.gauss_legendre_2d(integrand, -8, 8, -8, 8,
+                                              order=60) / (np.pi * par.hbar)
+            assert abs(sym.evaluate(image, p0, q0) - quad) < 1e-6
 
 
 def test_apply_singular_gaussian_guard():
