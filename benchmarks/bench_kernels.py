@@ -7,6 +7,9 @@
 - `transition.apply` on the Wigner state n = 12 (damped gamma = 0.2 and
   husimi s = 1) and `dynamics.pullback` of the same state along the damped
   flow at t = 1.
+- `star_product` on a damped (gamma = 0.1) pair of pure Gaussians and on
+  H star rho_6 (the series path), and on the moyal rho_3 star rho_3
+  (the group formula in doubled phase space).
 
 Run from the repository root as
 
@@ -78,7 +81,24 @@ def bench_maps(n=12):
     report("pullback t=1", med, best)
 
 
+def bench_products():
+    damped = sk.damped_star(0.1)
+    moyal = sk.moyal_star()
+    f = sym.gaussian(1.0 + 0.3j, app=-0.4, aqq=-0.3, apq=0.1, bp=0.15)
+    g = sym.gaussian(0.8, app=-0.35, aqq=-0.5, bq=-0.2j)
+    H = sk.hamiltonian()
+    rho3 = sk.sho_wigner_eigenstate(3)
+    rho6 = sk.sho_wigner_eigenstate(6)
+    print("star_product")
+    for label, args in (("damped(0.1), Gaussian pair", (f, g, damped)),
+                        ("damped(0.1), H * rho_6", (H, rho6, damped)),
+                        ("moyal, rho_3 * rho_3", (rho3, rho3, moyal))):
+        med, best, _ = timeit(lambda: sk.star_product(*args), 7)
+        report(label, med, best)
+
+
 if __name__ == "__main__":
     bench_eval()
     bench_rk4()
     bench_maps()
+    bench_products()

@@ -1,9 +1,10 @@
 """Command-line front end: star, evolve, eigen, verify, grid.
 
 Exit codes are stable contracts: 0 success, 1 failed verify check,
-2 expression/config error, 3 non-terminating product, 4 numeric failure,
-5 singular propagator time, 6 I/O error.  STARKIT_TOL overrides the
-default tolerance used by symbol comparisons that the CLI reports.
+2 expression/config error, 4 numeric failure, 5 singular propagator time,
+6 I/O error; 3 (non-terminating product) is retired and will not be
+reused.  STARKIT_TOL overrides the default tolerance used by symbol
+comparisons that the CLI reports.
 """
 
 import argparse
@@ -15,15 +16,14 @@ from . import dynamics, numerics, oscillator, verify
 from . import symbols as sym
 from .errors import (BranchAmbiguityError, DegreeGuardError, ExprDegreeError,
                      ExprPowerError, ExprSyntaxError, ExponentOverflowError,
-                     NonFiniteError, NonTerminatingError, PositivityError,
-                     SingularGaussianError, SingularTimeError)
+                     NonFiniteError, PositivityError, SingularGaussianError,
+                     SingularTimeError)
 from .expr import format_symbol, parse
 from .star import damped_star, husimi_star, moyal_star, standard_star, star_product
 from .symbols import GridSpec, Params
 
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
-EXIT_NONTERMINATING = 3
 EXIT_NUMERIC = 4
 EXIT_SINGULAR_TIME = 5
 EXIT_IO = 6
@@ -90,8 +90,6 @@ def cmd_star(args):
         star = husimi_star(args.s, params)
     try:
         result = star_product(lhs, rhs, star)
-    except NonTerminatingError as exc:
-        return _fail(EXIT_NONTERMINATING, f"non-terminating: {exc}")
     except _NUMERIC_ERRORS as exc:
         return _fail(EXIT_NUMERIC, str(exc))
     if args.grid:
@@ -216,8 +214,6 @@ def cmd_evolve(args):
                                          path)
     except SingularTimeError as exc:
         return _fail(EXIT_SINGULAR_TIME, str(exc))
-    except NonTerminatingError as exc:
-        return _fail(EXIT_NONTERMINATING, str(exc))
     except _NUMERIC_ERRORS as exc:
         return _fail(EXIT_NUMERIC, str(exc))
     except OSError as exc:

@@ -14,7 +14,7 @@ class ExponentOverflowError(StarkitError):
 
 
 class NonTerminatingError(StarkitError):
-    """Star product requested on an operand pair with no exact evaluation path."""
+    """A polynomial-only operation was given a non-polynomial operand."""
 
 
 class SingularGaussianError(StarkitError):

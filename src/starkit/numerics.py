@@ -7,6 +7,7 @@ advection with 4th-order stencils, Gauss-Legendre quadrature for overlap
 and smoothing integrals, and deterministic CSV/JSON grid export.
 """
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass
@@ -84,17 +85,19 @@ def star_series_oracle(f, g, star, N, spec):
     P, Q = spec.meshes()
     df = _DerivCache(f)
     dg = _DerivCache(g)
+
+    @functools.lru_cache(maxsize=None)  # one sample per derivative
+    def on_grid(side, orders):
+        return sym.evaluate_grid((df, dg)[side].get(*orders), P, Q)
+
     total = np.zeros(P.shape, dtype=np.complex128)
     last = 0.0
     for n in range(N + 1):
         order_vals = np.zeros(P.shape, dtype=np.complex128)
         for c, left, right in _series_terms(B, n):
-            left = df.get(*left)
-            right = dg.get(*right)
-            if left.is_zero() or right.is_zero():
+            if df.get(*left).is_zero() or dg.get(*right).is_zero():
                 continue
-            order_vals += c * (sym.evaluate_grid(left, P, Q)
-                               * sym.evaluate_grid(right, P, Q))
+            order_vals += c * (on_grid(0, left) * on_grid(1, right))
         total += order_vals
         last = float(np.abs(order_vals).max())
     ref = float(np.abs(total).max())

@@ -9,12 +9,10 @@ the right by dR.  Four configurations of one engine:
     standard   B = [[0, i*hbar], [0, 0]]
     husimi(s)  moyal + (hbar/2) diag(s^2, 1/s^2)
 
-Products are evaluated exactly on two operand classes: when either side is
-a pure polynomial the series terminates at the polynomial's degree, and
-when both sides are sums of pure-Gaussian terms a closed form applies
-(a 4x4 complex solve per term pair, derived by writing exp(dL^T B dR) as a
-Gaussian average of coupled shifts of the two operands).  Anything else is
-rejected rather than approximated.
+Products are exact on the whole class.  With a pure-polynomial side the
+series terminates at its degree.  Otherwise, in the doubled space (y, z),
+exp(dL^T B dR) is exp((1/2) grad^T S grad) with S = [[0, B], [B^T, 0]]
+followed by y = z = x, and _group_image applies it per pair of groups.
 """
 
 import cmath
@@ -144,66 +142,68 @@ def _sqrt_prefactor(det):
     return 1.0 / np.sqrt(det)
 
 
-def _gaussian_pair_star(t1, t2, B):
-    """Closed-form star of two pure-Gaussian terms.
+def _adjugate(K):
+    """(adjugate, determinant) of a 2x2 matrix; K^{-1} = adjugate / det."""
+    det = complex(K[0, 0] * K[1, 1] - K[0, 1] * K[1, 0])
+    return np.array([[K[1, 1], -K[0, 1]], [-K[1, 0], K[0, 0]]]), det
 
-    Writing exp(dL^T B dR) f(y) g(z) |_{y=z=x} as a Gaussian average of
-    shifts with cross-covariance B gives, for f, g exponentials of
-    quadratic forms Q_i(x) = x^T A_i x + b_i^T x,
 
-        c1 c2 det(K)^(-1/2) exp(Q1 + Q2 + (1/2) J^T K^{-1} S J),
+def _group_image(P, M, beta, S, Kinv, E, coeff):
+    """Terms of exp((1/2) grad^T S grad) on one exponent group, at y = E x.
 
-    with S = [[0, B], [B^T, 0]], K = I - 2 S blockdiag(A1, A2) and
-    J(x) = (2 A1 x + b1; 2 A2 x + b2).
+    The group is P(y) exp(y^T M y + beta^T y) in d = len(S) variables, P a
+    {powers: coeff} polynomial, E the d x 2 restriction to x = (q, p).
+    With K = I - 2 S M and R = K^{-1} S, averaging over Gaussian shifts of
+    covariance S gives, with coeff = det(K)^(-1/2),
+
+        coeff e^{(1/2) beta^T R beta}
+            * exp(x^T E^T M K^{-1} E x + (E^T K^{-T} beta)^T x)
+            * [exp((1/2) grad^T R grad) P](K^{-1} E x + R beta).
     """
-    A1, b1 = t1.expo.quad_form()
-    A2, b2 = t2.expo.quad_form()
-    S = np.zeros((4, 4), dtype=np.complex128)
-    S[:2, 2:] = B
-    S[2:, :2] = B.T
-    M = np.zeros((4, 4), dtype=np.complex128)
-    M[:2, :2] = A1
-    M[2:, 2:] = A2
-    K = np.eye(4, dtype=np.complex128) - 2.0 * S @ M
-    pref = _sqrt_prefactor(complex(np.linalg.det(K)))
-    N = np.linalg.solve(K, S)
-    N = 0.5 * (N + N.T)  # symmetric analytically; enforce numerically
-    G = np.vstack([2.0 * A1, 2.0 * A2])
-    h = np.concatenate([b1, b2])
-    dA = 0.5 * (G.T @ N @ G)
-    dA = 0.5 * (dA + dA.T)
-    db = G.T @ (N @ h)
-    dc = 0.5 * complex(h @ (N @ h))
-    coeff = t1.coeff * t2.coeff * pref * cmath.exp(dc)
-    return Term(coeff, 0, 0,
-                sym.QuadExponent.from_quad_form(A1 + A2 + dA, b1 + b2 + db))
+    R = Kinv @ S
+    R = 0.5 * (R + R.T)  # symmetric analytically; enforce numerically
+    L = Kinv @ E
+    image = sym.affine_image(sym.taylor_image(P, R), L, R @ beta)
+    c = coeff * cmath.exp(0.5 * complex(beta @ R @ beta))
+    expo = sym.QuadExponent.from_quad_form(E.T @ M @ L, L.T @ beta)
+    return [Term(c * d, pp, pq, expo) for (pq, pp), d in image.items()]
 
 
 def star_product(f, g, star):
-    """Exact star product on an admissible operand pair.
+    """Exact star product of two class members.
 
-    Admissible: either operand is a pure polynomial (finite series,
-    truncated at the smaller polynomial degree), or both operands are sums
-    of pure-Gaussian terms (pairwise closed form, by bilinearity).
+    A polynomial operand gives a series that ends at its degree.  Otherwise
+    each pair of groups has K = I - 2 S diag(A1, A2) = [[I, -U], [-V, I]],
+    U = 2 B A2, V = 2 B^T A1; with Sigma = (I - U V)^{-1}, det K =
+    det(I - U V) and K^{-1} = [[Sigma, Sigma U], [V Sigma, I + V Sigma U]].
     """
     if f.is_zero() or g.is_zero():
         return sym.ZERO
     B = star.matrix()
-    degrees = []
-    if f.is_polynomial():
-        degrees.append(f.degree())
-    if g.is_polynomial():
-        degrees.append(g.degree())
+    degrees = [h.degree() for h in (f, g) if h.is_polynomial()]
     if degrees:
         return _series_star(f, g, B, min(degrees))
-    if f.is_pure_gaussian() and g.is_pure_gaussian():
-        raw = []
-        for t1 in f.terms:
-            for t2 in g.terms:
-                raw.append(_gaussian_pair_star(t1, t2, B))
-        return sym.normalize(raw)
-    raise NonTerminatingError(
-        "star product needs a polynomial operand or a pure-Gaussian pair")
+    zero = np.zeros((2, 2))
+    eye = np.eye(2)
+    S = np.block([[zero, B], [B.T, zero]])
+    E = np.vstack([eye, eye])
+    right = [(e.quad_form(), P) for e, P in sym.exponent_groups(g).items()]
+    raw = []
+    for e1, P1 in sym.exponent_groups(f).items():
+        A1, b1 = e1.quad_form()
+        V = 2.0 * B.T @ A1
+        for (A2, b2), P2 in right:
+            U = 2.0 * B @ A2
+            adj, det = _adjugate(eye - U @ V)
+            pref = _sqrt_prefactor(det)
+            sigma = adj / det
+            Kinv = np.block([[sigma, sigma @ U],
+                             [V @ sigma, eye + V @ sigma @ U]])
+            P = {(s.pow_q, s.pow_p, t.pow_q, t.pow_p): s.coeff * t.coeff
+                 for s in P1.terms for t in P2.terms}
+            raw += _group_image(P, np.block([[A1, zero], [zero, A2]]),
+                                np.concatenate([b1, b2]), S, Kinv, E, pref)
+    return sym.normalize(raw)
 
 
 def star_commutator(f, g, star):

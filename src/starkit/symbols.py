@@ -119,10 +119,6 @@ class Symbol:
     def is_polynomial(self):
         return all(t.expo.is_zero() for t in self.terms)
 
-    def is_pure_gaussian(self):
-        """True when no term carries a monomial prefactor."""
-        return all(t.pow_p == 0 and t.pow_q == 0 for t in self.terms)
-
     def degree(self):
         """Total polynomial degree (0 for the zero symbol)."""
         return max((t.degree for t in self.terms), default=0)
@@ -339,7 +335,7 @@ def exponent_groups(f):
 
 
 def _poly_mul(a, b):
-    """Product of two {(pow_p, pow_q): coeff} polynomials."""
+    """Product of two {(i, j): coeff} polynomials in two variables."""
     out = {}
     for (i, j), c in a.items():
         for (k, m), d in b.items():
@@ -347,38 +343,83 @@ def _poly_mul(a, b):
     return out
 
 
+def taylor_image(P, R):
+    """exp((1/2) grad^T R grad) on a {powers: coeff} polynomial in len(R)
+    variables, keyed in the order of the rows of R.
+
+    Order k of the series is (1/2k) grad^T R grad of order k - 1; each order
+    lowers the degree by 2, so the series ends.
+    """
+    # (1/2) grad^T R grad = sum_{i <= j} w_ij d_i d_j, symmetric part of R
+    ops = [(complex(R[i, j] + R[j, i]) / (4 if i == j else 2), i, j)
+           for i in range(len(R)) for j in range(i, len(R))]
+    ops = [op for op in ops if op[0]]
+    out, order, k = dict(P), P, 0
+    while order:
+        k += 1
+        nxt = {}
+        for key, c in order.items():
+            for w, i, j in ops:
+                # d_i d_j y^key = key_i (key_j - [i = j]) y^(key - e_i - e_j)
+                factor = key[i] * (key[j] - (i == j))
+                if factor:
+                    low = tuple(n - (m == i) - (m == j)
+                                for m, n in enumerate(key))
+                    nxt[low] = nxt.get(low, 0) + c * w * factor / k
+        for key, c in nxt.items():
+            out[key] = out.get(key, 0) + c
+        order = nxt
+    return out
+
+
+def affine_image(P, L, s):
+    """P(L x + s) as a {(pow_q, pow_p): coeff} polynomial in x = (q, p).
+
+    P is a {powers: coeff} polynomial in len(L) variables; row k of L and
+    entry k of s give the affine form of (q, p) that replaces variable k.
+    Each form's powers are built once, and monomials expand one variable at
+    a time, so monomials sharing leading powers share partial products.
+    """
+    # powers[k][n]: n-th power of the affine form replacing variable k
+    powers = [[{(0, 0): 1.0}, {key: complex(c) for key, c in
+               (((1, 0), lq), ((0, 1), lp), ((0, 0), sk)) if c}]
+              for (lq, lp), sk in zip(L, s)]
+
+    def expand(poly, k):
+        if k == len(powers):
+            return {(0, 0): poly[()]}
+        by_power = {}
+        for key, c in poly.items():
+            by_power.setdefault(key[0], {})[key[1:]] = c
+        out = {}
+        for n, rest in by_power.items():
+            pw = powers[k]
+            while len(pw) <= n:
+                pw.append(_poly_mul(pw[-1], pw[1]))
+            for key, c in _poly_mul(pw[n], expand(rest, k + 1)).items():
+                out[key] = out.get(key, 0) + c
+        return out
+
+    return expand(P, 0)
+
+
 def substitute(f, L, shift=(0, 0)):
     """The affine pullback x -> f(L x + shift), x = (q, p); exact in the class.
 
-    Monomials expand into products of powers of the two affine forms, and
-    an exponent (A, b) goes by congruence to (L^T A L, L^T (2 A s + b)),
-    its constant s^T A s + b^T s moving into the coefficients.
+    Each group's polynomial goes through affine_image, and its exponent
+    (A, b) goes by congruence to (L^T A L, L^T (2 A s + b)), the constant
+    s^T A s + b^T s moving into the coefficients.
     """
     L = np.asarray(L, dtype=np.complex128)
     s = np.asarray(shift, dtype=np.complex128)
-    # powers[k][n]: n-th power of the affine form replacing q (k=0) or p (k=1)
-    powers = []
-    for k in (0, 1):
-        form = {(0, 1): L[k, 0], (1, 0): L[k, 1], (0, 0): s[k]}
-        powers.append([{(0, 0): 1.0},
-                       {key: complex(c) for key, c in form.items() if c}])
-
-    def power(k, n):
-        pw = powers[k]
-        while len(pw) <= n:
-            pw.append(_poly_mul(pw[-1], pw[1]))
-        return pw[n]
-
     raw = []
     for e, poly in exponent_groups(f).items():
         A, b = e.quad_form()
         expo = QuadExponent.from_quad_form(L.T @ A @ L, L.T @ (2 * A @ s + b))
         c0 = cmath.exp(s @ A @ s + b @ s)
-        for t in poly.terms:
-            c = t.coeff * c0
-            expanded = _poly_mul(power(1, t.pow_p), power(0, t.pow_q))
-            raw.extend(Term(c * d, i, j, expo)
-                       for (i, j), d in expanded.items())
+        image = affine_image({(t.pow_q, t.pow_p): t.coeff for t in poly.terms},
+                             L, s)
+        raw.extend(Term(c0 * c, pp, pq, expo) for (pq, pp), c in image.items())
     return normalize(raw)
 
 

@@ -8,29 +8,21 @@ instances:
     husimi(s)    C_qq = hbar s^2/2, C_pp = hbar/(2 s^2)
                                              maps moyal products to husimi ones
 
-The action on the symbol class is exact, one exponent group at a time.
-Write a group as P(q, p) exp(x^T A x + beta^T x) with x = (q, p),
-K = I - 2CA and R = K^{-1} C.  Averaging the group over Gaussian shifts
-of covariance C gives its image
-
-    det(K)^(-1/2) e^{(1/2) beta^T R beta}
-        * exp(x^T A K^{-1} x + (K^{-T} beta)^T x)
-        * [exp((1/2) grad^T R grad) P](K^{-1} (x + C beta)),
-
-a terminating Taylor series in R on the polynomial factor (it stops at
-the polynomial's degree) composed with an affine substitution.  The
-pure-polynomial group is the case A = 0, beta = 0, where K = I and R = C.
+The action on the symbol class is exact, one exponent group
+P(q, p) exp(x^T A x + beta^T x), x = (q, p), at a time: star._group_image
+with d = 2, S = C and E = I, that is, with K = I - 2CA and R = K^{-1} C,
+a terminating Taylor series in R on P composed with the affine map
+x -> K^{-1} x + R beta.  A pure-polynomial group has K = I and R = C.
 """
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import symbols as sym
 from .errors import NonTerminatingError
-from .star import _sqrt_prefactor, star_product
-from .symbols import Params, Term
+from .star import _adjugate, _group_image, _sqrt_prefactor, star_product
+from .symbols import Params
 
 
 @dataclass(frozen=True)
@@ -68,50 +60,17 @@ def inverse(op):
     return DerivOperator(op.name, ((-cqq, -cqp), (-cpq, -cpp)), op.params)
 
 
-def _half_laplacian(f, C):
-    """(1/2) grad^T C grad applied to a symbol."""
-    out = sym.ZERO
-    for c, (u, v) in ((0.5 * C[0, 0], "qq"), (0.5 * C[1, 1], "pp"),
-                      (C[0, 1], "qp")):
-        if c != 0:
-            d = sym.differentiate(sym.differentiate(f, u), v)
-            out = sym.combine(out, 1.0, d, c)
-    return out
-
-
-def _apply_polynomial(f, C):
-    """Finite Taylor series of exp((1/2) grad^T C grad); terminates by degree."""
-    raw = list(f.terms)
-    cur = f
-    k = 0
-    while not cur.is_zero():
-        k += 1
-        cur = sym.scale(_half_laplacian(cur, C), 1.0 / k)
-        raw.extend(cur.terms)
-    return sym.normalize(raw)
-
-
 def apply(op, f):
-    """Image of a symbol under the transition operator; linear and exact.
-
-    One closed form per exponent group P * exp(x^T A x + beta^T x); the
-    pure-polynomial group is the case A = 0, beta = 0.
-    """
+    """Image of a symbol under the transition operator; exact, per group."""
     C = op.matrix()
+    eye = np.eye(2)
     raw = []
     for e, poly in sym.exponent_groups(f).items():
         A, beta = e.quad_form()
-        K = np.eye(2) - 2.0 * C @ A
-        det = K[0, 0] * K[1, 1] - K[0, 1] * K[1, 0]
-        pref = _sqrt_prefactor(complex(det))
-        Kinv = np.array([[K[1, 1], -K[0, 1]], [-K[1, 0], K[0, 0]]]) / det
-        R = Kinv @ C
-        R = 0.5 * (R + R.T)  # symmetric analytically; enforce numerically
-        image = sym.substitute(_apply_polynomial(poly, R), Kinv, R @ beta)
-        coeff = pref * cmath.exp(0.5 * complex(beta @ R @ beta))
-        expo = sym.QuadExponent.from_quad_form(A @ Kinv, Kinv.T @ beta)
-        raw.extend(Term(t.coeff * coeff, t.pow_p, t.pow_q, expo)
-                   for t in image.terms)
+        adj, det = _adjugate(eye - 2.0 * C @ A)
+        pref = _sqrt_prefactor(det)
+        P = {(t.pow_q, t.pow_p): t.coeff for t in poly.terms}
+        raw += _group_image(P, A, beta, C, adj / det, eye, pref)
     return sym.normalize(raw)
 
 

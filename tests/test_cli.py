@@ -27,7 +27,7 @@ def test_star_damped(capsys):
 
 
 def test_star_gaussian_pair_closed_form(capsys):
-    # two pure Gaussians are admissible through the closed form
+    # two pure Gaussians go through the group formula
     code, out, _ = run(capsys, "star", "exp(-q^2)", "exp(-p^2)",
                        "--product", "damped", "--gamma", "0.1")
     assert code == 0
@@ -37,11 +37,15 @@ def test_star_gaussian_pair_closed_form(capsys):
     assert sym.approx_equal(got, direct, 1e-10).ok
 
 
-def test_star_nonterminating_exit_code(capsys):
-    code, _, err = run(capsys, "star", "q*exp(-q^2)", "exp(-p^2)",
+def test_star_monomial_gaussian_pair(capsys):
+    # monomials on Gaussians on both sides: the doubled-space group formula
+    code, out, _ = run(capsys, "star", "q*exp(-q^2)", "exp(-p^2)",
                        "--product", "damped", "--gamma", "0.1")
-    assert code == 3
-    assert "non-terminating" in err
+    assert code == 0
+    got = parse(out.strip())
+    direct = sk.star_product(parse("q*exp(-q^2)"), parse("exp(-p^2)"),
+                             sk.damped_star(0.1, sym.Params(gamma=0.1)))
+    assert sym.approx_equal(got, direct, 1e-10).ok
 
 
 def test_star_parse_error_names_operand(capsys):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,20 @@ def test_series_oracle_vs_gaussian_closed_form():
     oracle = numerics.star_series_oracle(f, g, star, 30, sym.SAMPLE_SPEC)
     closed = numerics.sample(sk.star_product(f, g, star), sym.SAMPLE_SPEC)
     assert numerics.grid_distance(oracle, closed) <= 1e-7
+    # monomials on both Gaussians; the standard product's series diverges
+    # on this pair, so it is left out
+    e1 = sym.QuadExponent(app=-0.25, aqq=-0.3, bp=0.1)
+    e2 = sym.QuadExponent(app=-0.35, aqq=-0.25, bq=-0.2j)
+    f = sym.normalize([sym.Term(1.0, 0, 1, e1), sym.Term(0.5, 1, 1, e1)])
+    g = sym.normalize([sym.Term(0.8, 1, 0, e2)])
+    for star in (sk.moyal_star(par), sk.damped_star(0.1, par),
+                 sk.husimi_star(1.0, par)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DivergenceWarning)
+            oracle = numerics.star_series_oracle(f, g, star, 30,
+                                                 sym.SAMPLE_SPEC)
+        closed = numerics.sample(sk.star_product(f, g, star), sym.SAMPLE_SPEC)
+        assert numerics.grid_distance(oracle, closed) <= 1e-12, star.name
 
 
 def test_series_oracle_flags_boundary_pair():

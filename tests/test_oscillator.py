@@ -6,6 +6,7 @@ import pytest
 
 import starkit as sk
 from starkit import symbols as sym
+from starkit import transition
 from starkit.errors import DegreeGuardError, SingularTimeError
 
 
@@ -37,6 +38,25 @@ def test_eigen_equations_both_sides():
                             sym.scale(rho, en)) <= 1e-9
         assert sym.residual(sk.star_product(rho, H, star),
                             sym.scale(rho, en)) <= 1e-9
+
+
+def test_wigner_functions_are_star_projectors():
+    # rho_m * rho_n = delta_mn rho_n (Curtright, Fairlie & Zachos, Phys.
+    # Rev. D 58 (1998) 025002); the damped transition operator is an
+    # algebra isomorphism onto *_gamma, so the images obey the same law
+    par = sym.Params()
+    rhos = [sk.sho_wigner_eigenstate(n, par) for n in range(4)]
+    cases = [(sk.moyal_star(par), rhos)]
+    for g in (0.1, 0.3):
+        op = transition.damped_transition(g, par)
+        cases.append((sk.damped_star(g, par),
+                      [transition.apply(op, rho) for rho in rhos]))
+    for star, states in cases:
+        for m, left in enumerate(states):
+            for n, right in enumerate(states):
+                want = right if m == n else sym.ZERO
+                got = sk.star_product(left, right, star)
+                assert sym.residual(got, want) <= 1e-12, (star.name, m, n)
 
 
 def test_eigenstates_nondefault_parameters():

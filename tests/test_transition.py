@@ -5,7 +5,7 @@ import pytest
 
 import starkit as sk
 from starkit import symbols as sym
-from starkit import transition
+from starkit import star, transition
 from starkit.errors import NonTerminatingError, SingularGaussianError
 
 from conftest import random_polynomial, random_symbol
@@ -166,6 +166,21 @@ def test_apply_solves_once_per_exponent_group(monkeypatch):
     sqrt_prefactor = transition._sqrt_prefactor
     monkeypatch.setattr(transition, "_sqrt_prefactor", counting)
     transition.apply(transition.damped_transition(0.2), rho)
+    assert len(calls) == 1
+
+
+def test_star_product_solves_once_per_pair_of_groups(monkeypatch):
+    rho2 = sk.sho_wigner_eigenstate(2)
+    rho3 = sk.sho_wigner_eigenstate(3)
+    calls = []
+
+    def counting(det):
+        calls.append(det)
+        return sqrt_prefactor(det)
+
+    sqrt_prefactor = star._sqrt_prefactor
+    monkeypatch.setattr(star, "_sqrt_prefactor", counting)
+    sk.star_product(rho2, rho3, sk.moyal_star())
     assert len(calls) == 1
 
 
