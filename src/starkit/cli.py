@@ -193,6 +193,7 @@ def cmd_evolve(args):
     try:
         if evolution == "rk4":
             dt = float(doc.get("dt", 1e-3))
+            print(f"cfl_ratio={numerics.cfl_ratio(spec, params, dt):.6e}")
             grid = numerics.sample(initial, spec)
             prev_t = 0.0
             for t in times:

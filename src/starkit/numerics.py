@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symbols as sym
-from ._accel import fd4_axis
-from .errors import CFLWarning, DivergenceWarning, SpecMismatchError
+from .errors import (CFLWarning, DivergenceWarning, NonFiniteError,
+                     SpecMismatchError)
 from .symbols import GridSpec, Params
 
 # Wide lattice for integrals and grid evolution; shipped Gaussians decay
@@ -52,8 +52,7 @@ def grid_distance(g1, g2):
 
 def trapezoid_integral(g):
     """Trapezoid rule integral of the grid values over its rectangle."""
-    dq = (g.spec.q_max - g.spec.q_min) / (g.spec.nq - 1)
-    dp = (g.spec.p_max - g.spec.p_min) / (g.spec.np - 1)
+    dq, dp = _steps(g.spec)
     return complex(np.trapezoid(np.trapezoid(g.values, dx=dp, axis=1), dx=dq))
 
 
@@ -116,53 +115,99 @@ def _advection_fields(spec, params, kind):
     return vq, vp
 
 
+def _steps(spec):
+    return ((spec.q_max - spec.q_min) / (spec.nq - 1),
+            (spec.p_max - spec.p_min) / (spec.np - 1))
+
+
+def cfl_ratio(spec, params, dt, kind="damped"):
+    """dt * max|v| / min(dq, dp) of rk4_evolve; |v| peaks at a corner."""
+    corners = GridSpec(spec.q_min, spec.q_max, spec.p_min, spec.p_max, 2, 2)
+    vmax = max(float(np.abs(v).max())
+               for v in _advection_fields(corners, params, kind))
+    return dt * vmax / min(_steps(spec))
+
+
+def _advection(spec, params, kind):
+    """rhs(u, out) of rk4_evolve on (2, nq*np) planes; 0 on the outer ring."""
+    nq, n_p, n = spec.nq, spec.np, spec.nq * spec.np
+    dq, dp = _steps(spec)
+    vq, vp = _advection_fields(spec, params, kind)
+    inner = np.pad(np.ones((nq - 2, n_p - 2)), 1)  # 0 freezes the ring
+    cq, cp = ((w * inner).ravel()
+              for w in (-vq / (12.0 * dq), -vp / (12.0 * dp)))
+    cx = (params.gamma * params.hbar / (144.0 * dq * dp) * inner.ravel()
+          * np.array([[1.0], [-1.0]]) if kind == "naive" else None)
+    du_q, du_p = np.zeros((2, n)), np.zeros((2, n))
+    edge = np.array([-3.0, -10.0, 18.0, -6.0, 1.0])  # one-sided, at u[1]
+
+    def fd4(u, out, s, axis):  # 12h d/dx: one flat pass, one-sided edges
+        o = out[:, 2 * s:n - 2 * s]
+        np.subtract(u[:, 3 * s:n - s], u[:, s:n - 3 * s], out=o)
+        o *= 8.0
+        o += u[:, :n - 4 * s]
+        o -= u[:, 4 * s:]
+        ue, oe = (a.reshape(2, nq, n_p).swapaxes(1, axis) for a in (u, out))
+        oe[:, 1] = edge @ ue[:, :5]
+        oe[:, -2] = -edge @ ue[:, :-6:-1]
+
+    def rhs(u, out):
+        fd4(u, du_q, n_p, 1)
+        fd4(u, du_p, 1, 2)
+        np.multiply(du_q, cq, out=out)
+        np.multiply(du_p, cp, out=du_p)
+        out += du_p
+        if cx is not None:  # i gamma hbar d_p d_q u; i (a + ib) = -b + ia
+            fd4(du_q, du_p, 1, 2)
+            np.multiply(du_p, cx, out=du_p)
+            out += du_p[::-1]
+
+    return rhs
+
+
 def rk4_evolve(g0, kind, t, dt, params=Params()):
     """Classical RK4 advection of grid values; an oracle, not the primary path.
 
-    kind selects the stencil right-hand side: "damped" applies the full
-    damped advection -vq d_q - vp d_p with vq = p/m, vp = -m w^2 q - 2 g p;
-    "naive" drops the damping drift and adds the i gamma hbar d_p d_q term
-    of the rejected equation.  Derivatives use 5-point 4th-order stencils
-    (one-sided at the boundary).  The outermost cell ring is held at its
-    initial value as a far-field condition: states are meant to decay below
-    1e-8 there, and without this closure the one-sided edge stencils seed a
-    slow exponential instability.
+    kind "damped" applies -vq d_q - vp d_p with vq = p/m, vp = -m w^2 q -
+    2 g p; "naive" drops the damping drift and adds the i gamma hbar d_p d_q
+    term of the rejected equation (p-stencil of the q-stencil, added to the
+    opposite plane).  The state is two real planes (real, imaginary part)
+    flattened q-major, so a 5-point 4th-order stencil is one pass with
+    offsets +-np (q) or +-1 (p); rows 1, nq-2 and columns 1, np-2 are
+    patched with one-sided stencils.  Buffers are allocated once per call.
+    The outer ring is never advanced (zero coefficients): a far-field
+    closure, as states decay below 1e-8 there and the one-sided edge
+    stencils would otherwise seed a slow exponential instability.  A run
+    that overflows raises NonFiniteError naming its CFL ratio.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     spec = g0.spec
-    dq = (spec.q_max - spec.q_min) / (spec.nq - 1)
-    dp = (spec.p_max - spec.p_min) / (spec.np - 1)
-    vq, vp = _advection_fields(spec, params, kind)
-    vmax = max(float(np.abs(vq).max()), float(np.abs(vp).max()))
-    if dt * vmax / min(dq, dp) > 0.5:
-        warnings.warn(
-            f"dt * vmax / h = {dt * vmax / min(dq, dp):.3g} exceeds 0.5",
-            CFLWarning)
-    cross = 1j * params.gamma * params.hbar if kind == "naive" else 0.0
-
-    def rhs(u):
-        du_q = fd4_axis(u, dq, axis=0)
-        du_p = fd4_axis(u, dp, axis=1)
-        out = -vq * du_q - vp * du_p
-        if cross:
-            out = out + cross * fd4_axis(du_q, dp, axis=1)
-        out[0, :] = 0.0
-        out[-1, :] = 0.0
-        out[:, 0] = 0.0
-        out[:, -1] = 0.0
-        return out
-
+    ratio = cfl_ratio(spec, params, dt, kind)
+    if ratio > 0.5:
+        warnings.warn(f"dt * vmax / h = {ratio:.3g} exceeds 0.5", CFLWarning)
+    rhs = _advection(spec, params, kind)
     steps = max(1, round(t / dt))
     h = t / steps
-    u = np.array(g0.values, dtype=np.complex128)
-    for _ in range(steps):
-        k1 = rhs(u)
-        k2 = rhs(u + 0.5 * h * k1)
-        k3 = rhs(u + 0.5 * h * k2)
-        k4 = rhs(u + h * k3)
-        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return PhaseGrid(spec, u)
+    u = np.stack([np.real(g0.values).ravel(), np.imag(g0.values).ravel()])
+    ksum, k, stage = (np.zeros_like(u) for _ in range(3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            rhs(u, ksum)  # k1; ksum collects k1 + 2 k2 + 2 k3 + k4
+            np.multiply(ksum, 0.5 * h, out=stage)
+            for c in (0.5 * h, h, None):  # stages 2, 3, 4
+                stage += u
+                rhs(stage, k)
+                if c:
+                    np.multiply(k, c, out=stage)
+                    k *= 2.0
+                ksum += k
+            ksum *= h / 6.0
+            u += ksum
+    if not np.isfinite(u).all():
+        raise NonFiniteError(f"RK4 state overflowed after {steps} steps "
+                             f"(cfl_ratio={ratio:.3g}; lower dt)")
+    return PhaseGrid(spec, (u[0] + 1j * u[1]).reshape(spec.nq, spec.np))
 
 
 def _f17(x):

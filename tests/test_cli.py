@@ -1,9 +1,13 @@
 import json
+import warnings
+
+import pytest
 
 import starkit as sk
 from starkit import numerics
 from starkit import symbols as sym
 from starkit.cli import main
+from starkit.errors import CFLWarning
 from starkit.expr import parse
 
 
@@ -242,11 +246,35 @@ def test_evolve_rk4_scenario(capsys, tmp_path):
     code, out, _ = run(capsys, "evolve",
                        _write_scenario(tmp_path / "sc.json", doc))
     assert code == 0
+    cfl = [ln for ln in out.splitlines() if ln.startswith("cfl_ratio=")]
+    assert len(cfl) == 1
+    # dt * max|v| / h = 0.005 * (6 + 2 * 0.1 * 6) / 0.2
+    assert float(cfl[0].split("=")[1]) == pytest.approx(0.18, rel=1e-6)
     grid = numerics.load_grid(dest)
     exact = sk.evolve_classical(parse("exp(-(q^2+p^2)/2)"), 0.1,
                                 sym.Params(gamma=0.1))
     sampled = numerics.sample(exact, grid.spec)
     assert numerics.grid_distance(grid, sampled) < 1e-3
+
+
+def test_evolve_rk4_unstable_exits_numeric(capsys, tmp_path):
+    doc = {
+        "params": {"gamma": 0.1},
+        "initial": "exp(-(q^2+p^2)/2)",
+        "evolution": "rk4",
+        "dt": 0.5,
+        "times": [0.0, 40.0],
+        "grid": {"q_min": -6, "q_max": 6, "p_min": -6, "p_max": 6,
+                 "nq": 61, "np": 61},
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CFLWarning)
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, "evolve",
+                             _write_scenario(tmp_path / "sc.json", doc))
+    assert code == 4
+    assert "cfl_ratio=1.800000e+01" in out
+    assert "cfl_ratio=18" in err
 
 
 def test_evolve_damped_ansatz_scenario(capsys, tmp_path):

@@ -9,7 +9,8 @@ import starkit as sk
 from starkit import dynamics, numerics
 from starkit import symbols as sym
 from starkit.errors import (CFLWarning, DivergenceWarning,
-                            ExponentOverflowError, SpecMismatchError)
+                            ExponentOverflowError, NonFiniteError,
+                            SpecMismatchError)
 
 from conftest import random_polynomial
 
@@ -277,15 +278,101 @@ def test_evaluate_grid_overflow_in_one_group():
     assert np.all(np.isfinite(sym.evaluate_grid(f, P / 2, Q)))
 
 
-def test_fd4_axis_exact_on_quartic():
-    from starkit._accel import fd4_axis
+def test_advection_operator_exact_on_quartic():
     spec = sym.GridSpec(-1.0, 2.0, -1.5, 1.0, 13, 11)
+    par = sym.Params(m=1.3, omega=0.7, hbar=0.9, gamma=0.3)
     P, Q = spec.meshes()
     u = (0.5 * Q**4 - Q**3 + 2j * Q**2 * P**2 + P**4 - 3.0 * Q * P
          + 0.25j * P**3 + 1.0)
-    dq = (spec.q_max - spec.q_min) / (spec.nq - 1)
-    dp = (spec.p_max - spec.p_min) / (spec.np - 1)
     du_dq = 2.0 * Q**3 - 3.0 * Q**2 + 4j * Q * P**2 - 3.0 * P
     du_dp = 4j * Q**2 * P + 4.0 * P**3 - 3.0 * Q + 0.75j * P**2
-    assert np.abs(fd4_axis(u, dq, 0) - du_dq).max() < 1e-10
-    assert np.abs(fd4_axis(u, dp, 1) - du_dp).max() < 1e-10
+    d2u_dpdq = 8j * Q * P - 3.0
+    for kind in ("damped", "naive"):
+        vq, vp = numerics._advection_fields(spec, par, kind)
+        expected = -vq * du_dq - vp * du_dp
+        if kind == "naive":
+            expected = expected + 1j * par.gamma * par.hbar * d2u_dpdq
+        out = np.zeros((2, u.size))
+        planes = np.stack([u.real.ravel(), u.imag.ravel()])
+        numerics._advection(spec, par, kind)(planes, out)
+        got = (out[0] + 1j * out[1]).reshape(u.shape)
+        assert np.abs(got - expected)[1:-1, 1:-1].max() < 1e-10
+        ring = np.ones(u.shape, dtype=bool)
+        ring[1:-1, 1:-1] = False
+        assert np.all(got[ring] == 0.0)
+
+
+def _fd4_reference(u, h, axis):
+    # 4th-order first derivative: 5-point central, one-sided at the edges
+    v = np.moveaxis(u, axis, 0)
+    d = np.empty_like(v)
+    d[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
+    d[0] = (-25 * v[0] + 48 * v[1] - 36 * v[2] + 16 * v[3]
+            - 3 * v[4]) / (12 * h)
+    d[1] = (-3 * v[0] - 10 * v[1] + 18 * v[2] - 6 * v[3] + v[4]) / (12 * h)
+    d[-2] = (3 * v[-1] + 10 * v[-2] - 18 * v[-3] + 6 * v[-4]
+             - v[-5]) / (12 * h)
+    d[-1] = (25 * v[-1] - 48 * v[-2] + 36 * v[-3] - 16 * v[-4]
+             + 3 * v[-5]) / (12 * h)
+    return np.moveaxis(d, 0, axis)
+
+
+@pytest.mark.parametrize("kind", ["damped", "naive"])
+def test_rk4_matches_complex_reference(kind):
+    # the plain complex-array RK4 with per-axis stencils and a frozen ring
+    par = sym.Params(m=1.2, omega=0.8, hbar=0.9, gamma=0.2)
+    spec = sym.GridSpec(-5.0, 6.0, -6.0, 5.0, 23, 19)
+    rho = sym.gaussian(1.0 + 0.5j, app=-0.5, aqq=-0.6, apq=0.15, bp=-0.3,
+                       bq=0.5)
+    g0 = numerics.sample(rho, spec)
+    vq, vp = numerics._advection_fields(spec, par, kind)
+    dq = (spec.q_max - spec.q_min) / (spec.nq - 1)
+    dp = (spec.p_max - spec.p_min) / (spec.np - 1)
+
+    def rhs(u):
+        du_q = _fd4_reference(u, dq, 0)
+        out = -vq * du_q - vp * _fd4_reference(u, dp, 1)
+        if kind == "naive":
+            out += 1j * par.gamma * par.hbar * _fd4_reference(du_q, dp, 1)
+        out[[0, -1], :] = 0.0
+        out[:, [0, -1]] = 0.0
+        return out
+
+    u, h = g0.values.copy(), 0.01
+    for _ in range(50):
+        k1 = rhs(u)
+        k2 = rhs(u + 0.5 * h * k1)
+        k3 = rhs(u + 0.5 * h * k2)
+        k4 = rhs(u + h * k3)
+        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    out = numerics.rk4_evolve(g0, kind, 0.5, h, par)
+    assert np.abs(out.values - u).max() <= 1e-13 * np.abs(u).max()
+
+
+@pytest.mark.parametrize("kind, rhs", [("damped", dynamics.damped_rhs),
+                                       ("naive", dynamics.naive_rhs)])
+def test_rk4_step_matches_symbolic_rhs(kind, rhs):
+    # one RK4 step of a linear system: (out - g0)/h = r1 + h r2/2 + h^2 r3/6
+    # + O(h^3), with r_k the k-th power of the symbolic right-hand side
+    par = sym.Params(gamma=0.2)
+    rho = sym.gaussian(1.0, app=-0.5, aqq=-0.6, apq=0.15, bp=-0.3, bq=0.5)
+    g0 = numerics.sample(rho, numerics.WIDE_SPEC)
+    h = 1e-3
+    out = numerics.rk4_evolve(g0, kind, h, h, par)
+    series, r = 0.0, rho
+    for c in (1.0, h / 2.0, h * h / 6.0):
+        r = rhs(r, par)
+        series = series + c * numerics.sample(r, numerics.WIDE_SPEC).values
+    assert np.abs((out.values - g0.values) / h - series).max() <= 1e-5
+
+
+def test_rk4_overflow_raises_typed():
+    par = sym.Params(gamma=0.1)
+    spec = sym.GridSpec(-6.0, 6.0, -6.0, 6.0, 61, 61)
+    g0 = numerics.sample(sym.gaussian(1.0, app=-0.5, aqq=-0.5), spec)
+    assert numerics.cfl_ratio(spec, par, 0.5) == pytest.approx(18.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.warns(CFLWarning), \
+                pytest.raises(NonFiniteError, match="cfl_ratio=18"):
+            numerics.rk4_evolve(g0, "damped", 40.0, 0.5, par)
