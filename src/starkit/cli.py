@@ -3,16 +3,18 @@
 Exit codes are stable contracts: 0 success, 1 failed verify check,
 2 expression/config error, 4 numeric failure, 5 singular propagator time,
 6 I/O error; 3 (non-terminating product) is retired and will not be
-reused.  STARKIT_TOL overrides the default tolerance used by symbol
-comparisons that the CLI reports.
+reused.  Commands raise; `main` alone turns an error into an exit code,
+through the ordered table `EXIT_CODES`, and prints it as one `error:`
+line.  Argument errors (unknown flags, non-finite parameters) are
+argparse's and exit 2.
 """
 
 import argparse
 import json
-import os
+import math
 import sys
 
-from . import dynamics, numerics, oscillator, verify
+from . import dynamics, numerics, oscillator, transition, verify
 from . import symbols as sym
 from .errors import (BranchAmbiguityError, DegreeGuardError, ExprDegreeError,
                      ExprPowerError, ExprSyntaxError, ExponentOverflowError,
@@ -30,30 +32,36 @@ EXIT_IO = 6
 
 EXPORT_FORMATS = ("csv", "json")
 
-_NUMERIC_ERRORS = (SingularGaussianError, BranchAmbiguityError,
-                   ExponentOverflowError, NonFiniteError, PositivityError,
-                   DegreeGuardError, NotImplementedError, OverflowError)
+# First match wins.
+EXIT_CODES = (
+    (SingularTimeError, EXIT_SINGULAR_TIME),
+    ((ValueError, KeyError, TypeError, ExprSyntaxError, ExprDegreeError,
+      ExprPowerError, DegreeGuardError), EXIT_CONFIG),
+    ((SingularGaussianError, BranchAmbiguityError, ExponentOverflowError,
+      NonFiniteError, PositivityError, NotImplementedError, OverflowError),
+     EXIT_NUMERIC),
+    (OSError, EXIT_IO),
+)
+
+_PARAM_DEFAULTS = {"m": 1.0, "omega": 1.0, "hbar": 1.0, "gamma": 0.0}
 
 
-def default_tol():
-    raw = os.environ.get("STARKIT_TOL", "")
-    try:
-        return float(raw) if raw else 1e-10
-    except ValueError:
-        return 1e-10
+def finite(text):
+    """argparse type of the parameter flags: a finite float."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(text)
+    return x
+
+
+def _add_param_flags(p, *names):
+    for name in names:
+        p.add_argument(f"--{name}", type=finite, default=_PARAM_DEFAULTS[name])
 
 
 def _params_from_args(args):
-    return Params(m=args.m, omega=args.omega, hbar=args.hbar,
-                  gamma=getattr(args, "gamma", 0.0))
-
-
-def _add_param_flags(p):
-    p.add_argument("--m", type=float, default=1.0)
-    p.add_argument("--omega", type=float, default=1.0)
-    p.add_argument("--hbar", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=0.0)
-    p.add_argument("--tol", type=float, default=default_tol())
+    return Params(**{k: getattr(args, k) for k in _PARAM_DEFAULTS
+                     if hasattr(args, k)})
 
 
 def _parse_grid_flag(text):
@@ -68,12 +76,7 @@ def _parse_operand(text, side):
     try:
         return parse(text)
     except (ExprSyntaxError, ExprDegreeError, ExprPowerError) as exc:
-        raise SystemExit(_fail(EXIT_CONFIG, f"{side} operand: {exc}"))
-
-
-def _fail(code, message):
-    print(f"error: {message}", file=sys.stderr)
-    return code
+        raise ValueError(f"{side} operand: {exc}") from exc
 
 
 def cmd_star(args):
@@ -88,197 +91,129 @@ def cmd_star(args):
         star = standard_star(params)
     else:
         star = husimi_star(args.s, params)
-    try:
-        result = star_product(lhs, rhs, star)
-    except _NUMERIC_ERRORS as exc:
-        return _fail(EXIT_NUMERIC, str(exc))
+    result = star_product(lhs, rhs, star)
     if args.grid:
-        try:
-            spec = _parse_grid_flag(args.grid)
-        except ValueError as exc:
-            return _fail(EXIT_CONFIG, str(exc))
-        try:
-            numerics.export_grid(numerics.sample(result, spec), args.format,
-                                 args.out or "star.csv")
-        except _NUMERIC_ERRORS as exc:
-            return _fail(EXIT_NUMERIC, str(exc))
-        except OSError as exc:
-            return _fail(EXIT_IO, str(exc))
+        numerics.export_grid(numerics.sample(result, _parse_grid_flag(args.grid)),
+                             args.format, args.out or "star.csv")
     else:
         print(format_symbol(result))
     return 0
 
 
-def _scenario_state(doc, params):
-    evolution = doc.get("evolution", "classical")
-    if evolution in ("classical", "rk4", "naive"):
-        if "initial" not in doc:
-            raise ValueError("scenario needs an 'initial' expression")
-        return parse(doc["initial"])
-    if evolution == "eigenexpansion":
-        if "coefficients" not in doc:
-            raise ValueError("eigenexpansion scenario needs 'coefficients'")
-        return None
-    if evolution == "damped_ansatz":
-        if "entries" not in doc:
-            raise ValueError("damped_ansatz scenario needs 'entries'")
-        return None
-    raise ValueError(f"unknown evolution {evolution!r}")
+def _complex_pair(pair):
+    re, im = pair
+    return complex(re, im)
 
 
-def _expansion_coeffs(doc):
-    return {(int(e["n"]), int(e["nprime"])): complex(e["re"], e.get("im", 0.0))
-            for e in doc["coefficients"]}
+def _evolution(doc, params, spec):
+    """Snapshot function of the scenario's evolution: times -> one state per
+    time.  Every entry is parsed here, before the first step.  rk4 yields
+    grids, stepping on from the previous time; every other kind yields the
+    exact symbol at each time."""
+    kind = doc.get("evolution", "classical")
+    if kind == "eigenexpansion":
+        coeffs = {(int(e["n"]), int(e["nprime"])):
+                  complex(e["re"], e.get("im", 0.0))
+                  for e in doc["coefficients"]}
+        return lambda times: (dynamics.evolve_eigenexpansion(coeffs, t, params)
+                              for t in times)
+    if kind == "damped_ansatz":
+        entries = [(_complex_pair(e["amplitude"]), _complex_pair(e["energy"]),
+                    _complex_pair(e["energy_prime"]), parse(e["state"]))
+                   for e in doc["entries"]]
+        return lambda times: (dynamics.evolve_damped_ansatz(entries, t, params)
+                              for t in times)
+    if kind not in ("classical", "naive", "rk4"):
+        raise ValueError(f"unknown evolution {kind!r}")
+    initial = parse(doc["initial"])
+    if kind == "classical":
+        return lambda times: (dynamics.evolve_classical(initial, t, params)
+                              for t in times)
+    dt = float(doc.get("dt", 0.05 if kind == "naive" else 1e-3))
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if kind == "naive":
+        return lambda times: (dynamics.euler_evolve(
+            initial, lambda r: dynamics.naive_rhs(r, params), t, dt)
+            if t > 0 else initial for t in times)
+
+    def rk4_states(times):
+        print(f"cfl_ratio={numerics.cfl_ratio(spec, params, dt):.6e}")
+        grid, prev_t = numerics.sample(initial, spec), 0.0
+        for t in times:
+            if t > prev_t:
+                grid = numerics.rk4_evolve(grid, "damped", t - prev_t, dt,
+                                           params)
+                prev_t = t
+            yield grid
+    return rk4_states
 
 
-def _ansatz_entries(doc):
-    out = []
-    for e in doc["entries"]:
-        amp = complex(e["amplitude"][0], e["amplitude"][1])
-        ev = complex(e["energy"][0], e["energy"][1])
-        ev_p = complex(e["energy_prime"][0], e["energy_prime"][1])
-        out.append((amp, ev, ev_p, parse(e["state"])))
-    return out
+def _read_scenario(path):
+    """(spec, times, outputs, states) of a scenario file, fully checked."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    pdoc = doc.get("params", {})
+    params = Params(**{k: pdoc.get(k, v) for k, v in _PARAM_DEFAULTS.items()})
+    times = [float(t) for t in doc.get("times", [])]
+    if times != sorted(times):
+        raise ValueError("times must be non-decreasing")
+    gdoc = doc["grid"]
+    spec = GridSpec(gdoc["q_min"], gdoc["q_max"], gdoc["p_min"],
+                    gdoc["p_max"], int(gdoc["nq"]), int(gdoc["np"]))
+    outputs = {}
+    for o in doc.get("outputs", []):
+        t, fmt = float(o["time"]), o.get("format", "csv")
+        if t not in times:
+            raise ValueError(f"output time {t:g} is not in 'times'")
+        if fmt not in EXPORT_FORMATS:
+            raise ValueError(f"unknown output format {fmt!r}; "
+                             f"choices: {', '.join(EXPORT_FORMATS)}")
+        outputs.setdefault(t, []).append((fmt, o["path"]))
+    return spec, times, outputs, _evolution(doc, params, spec)
 
 
 def cmd_evolve(args):
-    try:
-        with open(args.scenario, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        return _fail(EXIT_IO, str(exc))
-    except json.JSONDecodeError as exc:
-        return _fail(EXIT_CONFIG, f"bad scenario JSON: {exc}")
-    try:
-        pdoc = doc.get("params", {})
-        params = Params(m=pdoc.get("m", 1.0), omega=pdoc.get("omega", 1.0),
-                        hbar=pdoc.get("hbar", 1.0), gamma=pdoc.get("gamma", 0.0))
-        times = [float(t) for t in doc.get("times", [])]
-        if times != sorted(times):
-            raise ValueError("times must be non-decreasing")
-        gdoc = doc["grid"]
-        spec = GridSpec(gdoc["q_min"], gdoc["q_max"], gdoc["p_min"],
-                        gdoc["p_max"], int(gdoc["nq"]), int(gdoc["np"]))
-        evolution = doc.get("evolution", "classical")
-        initial = _scenario_state(doc, params)
-        outputs = {}
-        for o in doc.get("outputs", []):
-            t, fmt = float(o["time"]), o.get("format", "csv")
-            if t not in times:
-                raise ValueError(f"output time {t:g} is not in 'times'")
-            if fmt not in EXPORT_FORMATS:
-                raise ValueError(f"unknown output format {fmt!r}; "
-                                 f"choices: {', '.join(EXPORT_FORMATS)}")
-            outputs.setdefault(t, []).append((fmt, o["path"]))
-    except (KeyError, ValueError, TypeError, ExprSyntaxError,
-            ExprDegreeError, ExprPowerError) as exc:
-        return _fail(EXIT_CONFIG, f"bad scenario: {exc}")
-
-    def state_at(t):
-        if evolution == "classical":
-            return dynamics.evolve_classical(initial, t, params)
-        if evolution == "naive":
-            dt = float(doc.get("dt", 0.05))
-            return dynamics.euler_evolve(
-                initial, lambda r: dynamics.naive_rhs(r, params), t, dt) \
-                if t > 0 else initial
-        if evolution == "eigenexpansion":
-            return dynamics.evolve_eigenexpansion(_expansion_coeffs(doc), t,
-                                                  params)
-        if evolution == "damped_ansatz":
-            return dynamics.evolve_damped_ansatz(_ansatz_entries(doc), t,
-                                                 params)
-        return None  # rk4 handled on grids below
-
-    try:
-        if evolution == "rk4":
-            dt = float(doc.get("dt", 1e-3))
-            print(f"cfl_ratio={numerics.cfl_ratio(spec, params, dt):.6e}")
-            grid = numerics.sample(initial, spec)
-            prev_t = 0.0
-            for t in times:
-                if t > prev_t:
-                    grid = numerics.rk4_evolve(grid, "damped", t - prev_t, dt,
-                                               params)
-                    prev_t = t
-                defect = float(abs(grid.values.imag).max())
-                print(f"t={t:g} reality_defect={defect:.6e}")
-                for fmt, path in outputs.get(t, []):
-                    numerics.export_grid(grid, fmt, path)
-        else:
-            for t in times:
-                state = state_at(t)
-                defect = dynamics.reality_defect(state)
-                print(f"t={t:g} reality_defect={defect:.6e}")
-                for fmt, path in outputs.get(t, []):
-                    numerics.export_grid(numerics.sample(state, spec), fmt,
-                                         path)
-    except SingularTimeError as exc:
-        return _fail(EXIT_SINGULAR_TIME, str(exc))
-    except _NUMERIC_ERRORS as exc:
-        return _fail(EXIT_NUMERIC, str(exc))
-    except OSError as exc:
-        return _fail(EXIT_IO, str(exc))
+    spec, times, outputs, states = _read_scenario(args.scenario)
+    # states first: the rk4 generator prints its CFL line on first use
+    for state, t in zip(states(times), times):
+        on_grid = isinstance(state, numerics.PhaseGrid)
+        defect = (float(abs(state.values.imag).max()) if on_grid
+                  else dynamics.reality_defect(state))
+        print(f"t={t:g} reality_defect={defect:.6e}")
+        for fmt, path in outputs.get(t, []):
+            numerics.export_grid(
+                state if on_grid else numerics.sample(state, spec), fmt, path)
     return 0
 
 
 def cmd_eigen(args):
+    """rho = T_gamma(rho_nn'), T_0 the identity, rho_nn the stationary state;
+    H *_gamma rho = E rho and rho *_gamma H = E' rho, E = E_n + i hbar gamma/2.
+    """
     params = _params_from_args(args)
-    n = args.n
-    if n < 0 or (args.nprime is not None and args.nprime < 0):
-        return _fail(EXIT_CONFIG, "indices must be non-negative")
-    try:
-        if args.nprime is None:
-            if args.gamma:
-                rho, ev = oscillator.damped_eigenstate(n, params)
-                res = sym.residual(
-                    star_product(oscillator.hamiltonian(params), rho,
-                                 damped_star(args.gamma, params)),
-                    sym.scale(rho, ev.value))
-                print(format_symbol(rho))
-                print(f"eigenvalue: {_fmt_complex(ev.value)}")
-                print(f"residual: {res:.3e}{_tol_mark(res, args.tol)}")
-            else:
-                rho = oscillator.sho_wigner_eigenstate(n, params)
-                en = oscillator.energy(n, params)
-                star = moyal_star(params)
-                res = sym.residual(
-                    star_product(oscillator.hamiltonian(params), rho, star),
-                    sym.scale(rho, en))
-                print(format_symbol(rho))
-                print(f"eigenvalue: {en!r}")
-                print(f"residual: {res:.3e}{_tol_mark(res, args.tol)}")
-        else:
-            if args.gamma:
-                rho, right, left = oscillator.damped_offdiagonal_candidate(
-                    n, args.nprime, params)
-                shift = 0.5j * params.hbar * args.gamma
-                ev_r = oscillator.energy(n, params) + shift
-                ev_l = oscillator.energy(args.nprime, params) + shift
-                print(format_symbol(rho))
-                print(f"eigenvalue (left):  {_fmt_complex(ev_r)}")
-                print(f"eigenvalue (right): {_fmt_complex(ev_l)}")
-                print(f"residual (right eigen equation): "
-                      f"{right:.3e}{_tol_mark(right, args.tol)}")
-                print(f"residual (conjugate-pair diagnostic): {left:.3e}")
-            else:
-                rho = oscillator.sho_offdiagonal(n, args.nprime, params)
-                H = oscillator.hamiltonian(params)
-                star = moyal_star(params)
-                e1 = oscillator.energy(n, params)
-                e2 = oscillator.energy(args.nprime, params)
-                r1 = sym.residual(star_product(H, rho, star),
-                                  sym.scale(rho, e1))
-                r2 = sym.residual(star_product(rho, H, star),
-                                  sym.scale(rho, e2))
-                print(format_symbol(rho))
-                print(f"E = {e1!r}, E' = {e2!r}")
-                print(f"residuals: {r1:.3e}{_tol_mark(r1, args.tol)}, "
-                      f"{r2:.3e}{_tol_mark(r2, args.tol)}")
-    except DegreeGuardError as exc:
-        return _fail(EXIT_CONFIG, str(exc))
-    except _NUMERIC_ERRORS as exc:
-        return _fail(EXIT_NUMERIC, str(exc))
+    n, nprime = args.n, args.n if args.nprime is None else args.nprime
+    base = (oscillator.sho_wigner_eigenstate(n, params) if args.nprime is None
+            else oscillator.sho_offdiagonal(n, nprime, params))
+    rho = transition.apply(transition.damped_transition(args.gamma, params),
+                           base)
+    shift = 0.5j * params.hbar * args.gamma
+    e, e_prime = (oscillator.energy(k, params) + shift for k in (n, nprime))
+    H, star = oscillator.hamiltonian(params), damped_star(args.gamma, params)
+    left = sym.residual(star_product(H, rho, star), sym.scale(rho, e))
+    right = sym.residual(star_product(rho, H, star), sym.scale(rho, e_prime))
+    print(format_symbol(rho))
+    print(f"eigenvalue: {_fmt_complex(e)}")
+    print(f"residual H *_gamma rho - E rho, E = {_fmt_complex(e)}: "
+          f"{left:.3e}{_tol_mark(left, args.tol)}")
+    print(f"residual rho *_gamma H - E' rho, E' = {_fmt_complex(e_prime)}: "
+          f"{right:.3e}{_tol_mark(right, args.tol)}")
+    if args.gamma > 0:
+        pair = sym.residual(
+            star_product(H, rho, damped_star(-args.gamma, params)),
+            sym.scale(rho, e.conjugate()))
+        print("conjugate pair H *_-gamma rho - conj(E) rho "
+              f"(measured, not an identity): {pair:.3e}")
     return 0
 
 
@@ -287,16 +222,15 @@ def _tol_mark(res, tol):
 
 
 def _fmt_complex(z):
-    if z.imag >= 0:
-        return f"{z.real:g} + {z.imag:g}i"
-    return f"{z.real:g} - {-z.imag:g}i"
+    """E_n + i hbar gamma/2, whose imaginary part is never negative."""
+    return f"{z.real:g} + {z.imag:g}i" if z.imag else f"{z.real:g}"
 
 
 def cmd_verify(args):
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     if any(n not in verify.SUITES for n in names):
-        return _fail(EXIT_CONFIG, f"unknown suite {args.suite!r}; "
-                     f"choices: all, {', '.join(verify.SUITES)}")
+        raise ValueError(f"unknown suite {args.suite!r}; "
+                         f"choices: all, {', '.join(verify.SUITES)}")
     all_ok = True
     for name in names:
         desc, fn = verify.SUITES[name]
@@ -310,16 +244,8 @@ def cmd_verify(args):
 
 def cmd_grid(args):
     f = _parse_operand(args.expression, "grid")
-    try:
-        spec = _parse_grid_flag(args.grid)
-    except ValueError as exc:
-        return _fail(EXIT_CONFIG, str(exc))
-    try:
-        numerics.export_grid(numerics.sample(f, spec), args.format, args.out)
-    except _NUMERIC_ERRORS as exc:
-        return _fail(EXIT_NUMERIC, str(exc))
-    except OSError as exc:
-        return _fail(EXIT_IO, str(exc))
+    numerics.export_grid(numerics.sample(f, _parse_grid_flag(args.grid)),
+                         args.format, args.out)
     return 0
 
 
@@ -334,9 +260,9 @@ def build_parser():
     p.add_argument("rhs")
     p.add_argument("--product", choices=("moyal", "damped", "standard",
                                          "husimi"), default="moyal")
-    p.add_argument("--s", type=float, default=1.0,
+    p.add_argument("--s", type=finite, default=1.0,
                    help="husimi squeezing parameter")
-    _add_param_flags(p)
+    _add_param_flags(p, "m", "hbar", "gamma")
     p.add_argument("--grid", help="qmin,qmax,pmin,pmax,nq,np: export instead "
                    "of printing")
     p.add_argument("--format", choices=EXPORT_FORMATS, default="csv")
@@ -350,7 +276,8 @@ def build_parser():
     p = sub.add_parser("eigen", help="print (damped) eigenfunctions")
     p.add_argument("n", type=int)
     p.add_argument("nprime", type=int, nargs="?")
-    _add_param_flags(p)
+    _add_param_flags(p, "m", "omega", "hbar", "gamma")
+    p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=cmd_eigen)
 
     p = sub.add_parser("verify", help="run identity/property suites")
@@ -363,7 +290,6 @@ def build_parser():
                    help="qmin,qmax,pmin,pmax,nq,np")
     p.add_argument("--format", choices=EXPORT_FORMATS, default="csv")
     p.add_argument("--out", required=True)
-    _add_param_flags(p)
     p.set_defaults(func=cmd_grid)
     return ap
 
@@ -371,11 +297,19 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
     except SystemExit as exc:
         # argparse usage failures exit with 2, matching the config contract
-        code = exc.code
-        return code if isinstance(code, int) else EXIT_CONFIG
+        return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
+    try:
+        return args.func(args)
+    except Exception as exc:
+        code = next((c for types, c in EXIT_CODES if isinstance(exc, types)),
+                    None)
+        if code is None:
+            raise
+        message = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        print(f"error: {message}", file=sys.stderr)
+        return code
 
 
 def entry():

@@ -234,11 +234,13 @@ def _fmt_monomial(pow_p, pow_q):
 
 
 def _fmt_poly(terms):
-    """Join (coeff, pow_p, pow_q) triples in the expression grammar."""
+    """Join (coeff, pow_p, pow_q[, exponent]) entries in the expression
+    grammar; a non-zero exponent is appended as an exp(...) factor."""
     pieces = []
-    for k, (c, pp, pq) in enumerate(terms):
+    for k, (c, pp, pq, *expo) in enumerate(terms):
         sign, mag = _split_sign(c)
-        factors = _fmt_monomial(pp, pq)
+        factors = _fmt_monomial(pp, pq) + [f"exp({_fmt_exponent(e)})"
+                                           for e in expo if not e.is_zero()]
         cs = _fmt_coeff(mag, standalone=not factors)
         if cs:
             factors = [cs] + factors
@@ -260,19 +262,4 @@ def format_symbol(f):
     """Deterministic rendering of a symbol in the expression grammar."""
     if f.is_zero():
         return "0"
-    pieces = []
-    for k, t in enumerate(f.terms):
-        sign, mag = _split_sign(t.coeff)
-        factors = _fmt_monomial(t.pow_p, t.pow_q)
-        has_exp = not t.expo.is_zero()
-        cs = _fmt_coeff(mag, standalone=not (factors or has_exp))
-        if cs:
-            factors = [cs] + factors
-        if has_exp:
-            factors.append(f"exp({_fmt_exponent(t.expo)})")
-        body = "*".join(factors)
-        if k == 0:
-            pieces.append(("-" if sign < 0 else "") + body)
-        else:
-            pieces.append((" - " if sign < 0 else " + ") + body)
-    return "".join(pieces)
+    return _fmt_poly([(t.coeff, t.pow_p, t.pow_q, t.expo) for t in f.terms])

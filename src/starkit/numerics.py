@@ -183,12 +183,13 @@ def rk4_evolve(g0, kind, t, dt, params=Params()):
     if dt <= 0:
         raise ValueError("dt must be positive")
     spec = g0.spec
-    ratio = cfl_ratio(spec, params, dt, kind)
-    if ratio > 0.5:
-        warnings.warn(f"dt * vmax / h = {ratio:.3g} exceeds 0.5", CFLWarning)
-    rhs = _advection(spec, params, kind)
     steps = max(1, round(t / dt))
-    h = t / steps
+    h = t / steps  # up to 1.5 dt, so the CFL ratio is judged at h
+    ratio = cfl_ratio(spec, params, h, kind)
+    if ratio > 0.5:
+        warnings.warn(f"step h = {h:.3g}: h * vmax / dx = {ratio:.3g} "
+                      "exceeds 0.5", CFLWarning)
+    rhs = _advection(spec, params, kind)
     u = np.stack([np.real(g0.values).ravel(), np.imag(g0.values).ravel()])
     ksum, k, stage = (np.zeros_like(u) for _ in range(3))
     with np.errstate(over="ignore", invalid="ignore"):

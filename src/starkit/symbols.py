@@ -201,6 +201,7 @@ def normalize(raw):
     def expo_key(entries):
         return tuple(x for e in entries for x in (e.real, e.imag))
 
+    expos = [QuadExponent(*r) for r in reps]  # one shared object per group
     out = []
     for (pp, pq, idx), cs in buckets.items():
         # summation order fixed by value, so the result is independent of
@@ -209,7 +210,7 @@ def normalize(raw):
         c = sum(cs)
         if c == 0:
             continue
-        out.append(Term(c, pp, pq, QuadExponent(*reps[idx])))
+        out.append(Term(c, pp, pq, expos[idx]))
     out.sort(key=lambda t: (-(t.pow_p + t.pow_q), -t.pow_p, -t.pow_q,
                             expo_key(t.expo.entries())))
     return Symbol(tuple(out))

@@ -83,7 +83,7 @@ def check_bracket(params=Params(gamma=0.1)):
             CheckResult("bracket {p,H}_g = -m w^2 q - 2 g p", r2, 1e-14)]
 
 
-def check_equivalence(n_pairs=100, seed=20240811):
+def check_intertwining(n_pairs=100, seed=20240811):
     rng = np.random.default_rng(seed)
     params = Params(gamma=0.1)
     setups = [
@@ -412,7 +412,7 @@ SUITES = {
     "bracket": ("damped bracket reproduces the equations of motion",
                 check_bracket),
     "equivalence": ("transition operators intertwine the star products",
-                    check_equivalence),
+                    check_intertwining),
     "complexification": ("damped transition shifts H by -i hbar gamma/2",
                          check_complexification),
     "spectrum": ("undamped stationary Wigner eigenfunctions", check_spectrum),
@@ -430,13 +430,3 @@ SUITES = {
                  check_spectral),
     "husimi": ("husimi smoothing consistency and positivity", check_husimi),
 }
-
-
-def run_suite(name):
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}")
-    return SUITES[name][1]()
-
-
-def run_all():
-    return {name: fn() for name, (_, fn) in SUITES.items()}

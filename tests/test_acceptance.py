@@ -31,7 +31,7 @@ def test_criterion_01_bracket_reproduction(capsys):
 def test_criterion_02_c_equivalence(capsys):
     with capsys.disabled():
         print()
-        _report(verify.check_equivalence())
+        _report(verify.check_intertwining())
 
 
 def test_criterion_03_hamiltonian_complexification(capsys):

@@ -1,10 +1,14 @@
 import json
+import math
+import re
+import shlex
 import warnings
+from pathlib import Path
 
 import pytest
 
 import starkit as sk
-from starkit import numerics
+from starkit import numerics, oscillator
 from starkit import symbols as sym
 from starkit.cli import main
 from starkit.errors import CFLWarning
@@ -104,6 +108,19 @@ def test_eigen_offdiagonal(capsys):
     code, out, _ = run(capsys, "eigen", "1", "0")
     assert code == 0
     assert "E = 1.5" in out and "E' = 0.5" in out
+
+
+def test_eigen_damped_offdiagonal_residuals(capsys):
+    code, out, _ = run(capsys, "eigen", "1", "0", "--gamma", "0.1")
+    assert code == 0
+    lines = out.strip().splitlines()
+    residuals = [float(ln.rsplit(": ", 1)[1]) for ln in lines
+                 if ln.startswith("residual ")]
+    assert len(residuals) == 2 and max(residuals) <= 1e-12
+    assert "E = 1.5 + 0.05i" in out and "E' = 0.5 + 0.05i" in out
+    pair = [ln for ln in lines if ln.startswith("conjugate pair ")]
+    assert len(pair) == 1 and "(measured, not an identity)" in pair[0]
+    assert float(pair[0].rsplit(": ", 1)[1]) > 0.1
 
 
 def test_eigen_bad_indices(capsys):
@@ -334,11 +351,71 @@ def test_evolve_io_error(capsys, tmp_path):
     assert code == 6
 
 
-def test_env_tolerance_override(monkeypatch):
-    from starkit import cli
-    monkeypatch.setenv("STARKIT_TOL", "1e-6")
-    assert cli.default_tol() == 1e-6
-    monkeypatch.setenv("STARKIT_TOL", "garbage")
-    assert cli.default_tol() == 1e-10
-    monkeypatch.delenv("STARKIT_TOL")
-    assert cli.default_tol() == 1e-10
+
+GRID_3 = {"q_min": -1, "q_max": 1, "p_min": -1, "p_max": 1, "nq": 3, "np": 3}
+
+
+def _scenario_argv(tmp_path, doc):
+    doc = {"times": [0.0], "grid": GRID_3, **doc}
+    return ["evolve", _write_scenario(tmp_path / "sc.json", doc)]
+
+
+def _singular_time(tmp_path, monkeypatch):
+    # no shipped scenario reaches a propagator; route one through evolve
+    def at_singular_time(rho, t, params):
+        return oscillator.undamped_propagator(math.pi, params)
+    monkeypatch.setattr(sk.dynamics, "evolve_classical", at_singular_time)
+    return _scenario_argv(tmp_path, {"initial": "q"})
+
+
+EXIT_CASES = {
+    "negative gamma": (2, "gamma", lambda tmp, mp: [
+        "star", "q", "p", "--gamma", "-1"]),
+    "husimi s = 0": (2, "squeezing", lambda tmp, mp: [
+        "star", "q", "p", "--product", "husimi", "--s", "0"]),
+    "non-finite m": (2, "--m", lambda tmp, mp: ["star", "q", "p", "--m", "nan"]),
+    "eigen negative gamma": (2, "gamma", lambda tmp, mp: [
+        "eigen", "0", "--gamma", "-0.5"]),
+    "ansatz state syntax": (2, "position", lambda tmp, mp: _scenario_argv(
+        tmp, {"evolution": "damped_ansatz",
+              "entries": [{"amplitude": [1, 0], "energy": [0.5, 0.05],
+                           "energy_prime": [0.5, 0.05],
+                           "state": "exp(-q^2"}]})),
+    "expansion without nprime": (2, "nprime", lambda tmp, mp: _scenario_argv(
+        tmp, {"evolution": "eigenexpansion",
+              "coefficients": [{"n": 1, "re": 1.0}]})),
+    "expansion past the ladder guard": (2, "guard", lambda tmp, mp:
+                                        _scenario_argv(
+        tmp, {"evolution": "eigenexpansion",
+              "coefficients": [{"n": 10, "nprime": 10, "re": 1.0}]})),
+    "grid takes no parameters": (2, "--hbar", lambda tmp, mp: [
+        "grid", "q", "--grid=-1,1,-1,1,3,3", "--out", str(tmp / "g.csv"),
+        "--hbar", "1"]),
+    "singular propagator time": (5, "vanishes", _singular_time),
+}
+
+
+@pytest.mark.parametrize("case", list(EXIT_CASES))
+def test_exit_codes(case, capsys, tmp_path, monkeypatch):
+    want, fragment, argv = EXIT_CASES[case]
+    code, out, err = run(capsys, *argv(tmp_path, monkeypatch))
+    assert code == want
+    assert out == ""
+    errors = [ln for ln in err.splitlines() if "error:" in ln]
+    assert len(errors) == 1 and fragment in errors[0]
+    assert "Traceback" not in err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+README_COMMANDS = [ln for ln in README.read_text().splitlines()
+                   if re.match(r"starkit (star|eigen|grid) ", ln)]
+
+
+@pytest.mark.parametrize("line", README_COMMANDS)
+def test_readme_examples(line, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, *shlex.split(line, comments=True)[1:])
+    assert code == 0
+    shown = re.search(r"#\s*->\s*(.*?)\s*$", line)
+    if shown:
+        assert shown.group(1) in out.splitlines()

@@ -175,6 +175,22 @@ def test_rk4_cfl_warning():
         numerics.rk4_evolve(g0, "damped", 0.05, 0.05, par)
 
 
+@pytest.mark.parametrize("t, warns", [(0.029, True), (0.031, False),
+                                      (0.02, False)])
+def test_rk4_cfl_judged_at_step(t, warns):
+    # dt = 0.02 gives ratio 0.40, but t = 0.029 is one step of h = 0.029
+    # (ratio 0.58) and t = 0.031 two steps of h = 0.0155 (ratio 0.31)
+    spec = sym.GridSpec(-6.0, 6.0, -6.0, 6.0, 41, 41)
+    g0 = numerics.sample(sk.sho_wigner_eigenstate(0), spec)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", CFLWarning)
+        numerics.rk4_evolve(g0, "damped", t, 0.02, sym.Params())
+    cfl = [w for w in caught if issubclass(w.category, CFLWarning)]
+    assert len(cfl) == int(warns)
+    if warns:
+        assert "h = 0.029" in str(cfl[0].message)
+
+
 def test_export_csv_round_trip(tmp_path):
     spec = sym.GridSpec(-1.0, 1.0, -2.0, 2.0, 3, 5)
     grid = numerics.sample(sk.undamped_propagator(0.3), spec)
