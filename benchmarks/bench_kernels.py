@@ -12,6 +12,8 @@
 - `star_product` on a damped (gamma = 0.1) pair of pure Gaussians and on
   H star rho_6 (the series path), and on the moyal rho_3 star rho_3
   (the group formula in doubled phase space).
+- `normalize` on the terms of the Wigner state n = 24 repeated three
+  times (975 raw terms, one exponent), and `parse` of its printed form.
 
 Run from the repository root as
 
@@ -28,6 +30,7 @@ import numpy as np
 import starkit as sk
 from starkit import dynamics, numerics, oscillator, transition
 from starkit import symbols as sym
+from starkit.expr import format_symbol, parse
 from starkit.numerics import WIDE_SPEC
 
 
@@ -103,8 +106,21 @@ def bench_products():
         report(label, med, best)
 
 
+def bench_algebra(n=24):
+    state = sk.sho_wigner_eigenstate(n)
+    raw = list(state.terms) * 3
+    text = format_symbol(state)
+    print(f"symbol algebra: Wigner n={n}")
+    med, best, _ = timeit(lambda: sym.normalize(raw), 15)
+    report(f"normalize, {len(raw)} raw terms", med, best)
+    med, best, back = timeit(lambda: parse(text), 7)
+    report(f"parse, {len(text)} characters", med, best)
+    print(f"  parse(format_symbol(rho)) == rho: {back == state}")
+
+
 if __name__ == "__main__":
     bench_eval()
     bench_rk4()
     bench_maps()
     bench_products()
+    bench_algebra()

@@ -11,9 +11,8 @@ from .dynamics import (FlowMap, damped_rhs, evolve_classical,
 from .expr import format_symbol, parse
 from .numerics import (PhaseGrid, export_grid, grid_distance, load_grid,
                        rk4_evolve, sample, star_series_oracle)
-from .oscillator import (DampedEigenvalue, damped_eigenstate,
-                         damped_offdiagonal_candidate, damped_propagator,
-                         energy, hamiltonian, ladder_symbols, sho_offdiagonal,
+from .oscillator import (damped_eigenstate, damped_propagator, energy,
+                         hamiltonian, ladder_symbols, sho_offdiagonal,
                          sho_wigner_eigenstate, sho_wigner_values,
                          undamped_propagator)
 from .star import (BilinearStar, bracket, damped_ad, damped_star, hw_phase,

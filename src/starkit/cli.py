@@ -149,20 +149,27 @@ def _evolution(doc, params, spec):
     return rk4_states
 
 
+def _object(value, what):
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return value
+
+
 def _read_scenario(path):
     """(spec, times, outputs, states) of a scenario file, fully checked."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    pdoc = doc.get("params", {})
+        doc = _object(json.load(fh), "the scenario")
+    pdoc = _object(doc.get("params", {}), "'params'")
     params = Params(**{k: pdoc.get(k, v) for k, v in _PARAM_DEFAULTS.items()})
     times = [float(t) for t in doc.get("times", [])]
     if times != sorted(times):
         raise ValueError("times must be non-decreasing")
-    gdoc = doc["grid"]
+    gdoc = _object(doc["grid"], "'grid'")
     spec = GridSpec(gdoc["q_min"], gdoc["q_max"], gdoc["p_min"],
                     gdoc["p_max"], int(gdoc["nq"]), int(gdoc["np"]))
     outputs = {}
     for o in doc.get("outputs", []):
+        o = _object(o, "each 'outputs' entry")
         t, fmt = float(o["time"]), o.get("format", "csv")
         if t not in times:
             raise ValueError(f"output time {t:g} is not in 'times'")

@@ -13,14 +13,14 @@ term i gamma hbar d_p d_q rho breaks reality for gamma > 0.
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import symbols as sym
 from .errors import PositivityError
 from .oscillator import energy, hamiltonian, sho_offdiagonal
-from .star import damped_ad, damped_star, moyal_star, star_commutator
+from .star import damped_ad, damped_star, star_commutator
 from .symbols import Params
 
 
@@ -92,8 +92,7 @@ def naive_rhs(rho, params=Params()):
 
 def moyal_rhs(rho, params=Params()):
     """Undamped part -[rho, H]_star / (i hbar) of the naive equation."""
-    comm = star_commutator(rho, hamiltonian(params), moyal_star(params))
-    return sym.scale(comm, -1.0 / (1j * params.hbar))
+    return naive_rhs(rho, replace(params, gamma=0.0))
 
 
 def reality_defect(rho_dot):
@@ -123,13 +122,10 @@ def evolve_eigenexpansion(coeffs, t, params=Params()):
 
     coeffs maps (n, n') index pairs to complex amplitudes (finite support).
     """
-    out = sym.ZERO
-    for (n, nprime), amp in sorted(coeffs.items()):
-        phase = cmath.exp(-1j * (energy(n, params) - energy(nprime, params))
-                          * t / params.hbar)
-        out = sym.combine(out, 1.0, sho_offdiagonal(n, nprime, params),
-                          amp * phase)
-    return out
+    entries = [(amp, energy(n, params), energy(nprime, params),
+                sho_offdiagonal(n, nprime, params))
+               for (n, nprime), amp in sorted(coeffs.items())]
+    return evolve_damped_ansatz(entries, t, params)
 
 
 def evolve_damped_ansatz(entries, t, params=Params()):

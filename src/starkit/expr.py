@@ -12,133 +12,122 @@ round-trips stay inside merge tolerance.
 """
 
 import cmath
+import re
 
 from . import symbols as sym
 from .errors import ExprDegreeError, ExprPowerError, ExprSyntaxError
 
-_NUM_START = set("0123456789.")
+# One token after optional whitespace, matched lazily at the current
+# position, so a stray character is reported only where the parser reaches
+# it: a number (digits with at most one '.', an optional exponent), a name,
+# an operator, the end, or any other character, which is an error.
+_TOKEN = re.compile(r"""\s*(?:
+    (?P<number>(?=[0-9.])\d*\.?\d*(?:[eE][+-]?\d+)?)
+  | (?P<name>[^\W\d_][^\W_]*)
+  | (?P<op>[-+*/^()])
+  | (?P<eof>\Z)
+  | (?P<bad>.))""", re.VERBOSE | re.DOTALL)
+
+# The monomial behind each QuadExponent field, in printing order.
+_EXPONENT_FIELDS = {(2, 0): "app", (1, 1): "apq", (0, 2): "aqq",
+                    (1, 0): "bp", (0, 1): "bq"}
 
 
-class _Lexer:
+def _number(val, pos):
+    try:
+        return float(val)
+    except ValueError:  # a lone '.' has no digit
+        raise ExprSyntaxError(f"malformed number {val!r}", pos) from None
+
+
+class _Parser:
     def __init__(self, text):
         self.text = text
         self.pos = 0
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
     def peek(self):
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return ("eof", "", self.pos)
-        ch = self.text[self.pos]
-        if ch in "+-*/^()":
-            return (ch, ch, self.pos)
-        if ch in _NUM_START:
-            j = self.pos
-            seen_dot = False
-            while j < len(self.text) and (self.text[j].isdigit()
-                                          or (self.text[j] == "." and not seen_dot)):
-                seen_dot = seen_dot or self.text[j] == "."
-                j += 1
-            if j < len(self.text) and self.text[j] in "eE":
-                k = j + 1
-                if k < len(self.text) and self.text[k] in "+-":
-                    k += 1
-                if k < len(self.text) and self.text[k].isdigit():
-                    while k < len(self.text) and self.text[k].isdigit():
-                        k += 1
-                    j = k
-            return ("number", self.text[self.pos:j], self.pos)
-        if ch.isalpha():
-            j = self.pos
-            while j < len(self.text) and self.text[j].isalnum():
-                j += 1
-            return ("name", self.text[self.pos:j], self.pos)
-        raise ExprSyntaxError(f"unexpected character {ch!r}", self.pos)
+        """(kind, text, position); an operator is its own kind."""
+        m = _TOKEN.match(self.text, self.pos)
+        kind = m.lastgroup
+        val, pos = m.group(kind), m.start(kind)
+        if kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {val!r}", pos)
+        return (val if kind == "op" else kind), val, pos
 
     def next(self):
         tok = self.peek()
         self.pos = tok[2] + len(tok[1])
         return tok
 
-
-class _Parser:
-    def __init__(self, text):
-        self.lex = _Lexer(text)
-
     def parse(self):
         out = self._expr()
-        kind, val, pos = self.lex.peek()
+        kind, val, pos = self.peek()
         if kind != "eof":
             raise ExprSyntaxError(f"unexpected {val!r}", pos)
         return out
 
     def _expr(self):
-        kind, _, _ = self.lex.peek()
-        sign = 1.0
-        if kind in ("+", "-"):
-            self.lex.next()
-            sign = -1.0 if kind == "-" else 1.0
-        out = sym.scale(self._term(), sign)
+        """Signed terms, summed by one normalize."""
+        raw = []
+        kind = self.peek()[0]
         while True:
-            kind, _, _ = self.lex.peek()
+            sign = 1.0
+            if kind in ("+", "-"):
+                self.next()
+                sign = -1.0 if kind == "-" else 1.0
+            raw += [sym.Term(t.coeff * sign, t.pow_p, t.pow_q, t.expo)
+                    for t in self._term().terms]
+            kind = self.peek()[0]
             if kind not in ("+", "-"):
-                return out
-            self.lex.next()
-            rhs = self._term()
-            out = sym.combine(out, 1.0, rhs, -1.0 if kind == "-" else 1.0)
+                return sym.normalize(raw)
 
     def _term(self):
         out = self._factor()
         while True:
-            kind, _, pos = self.lex.peek()
+            kind, _, pos = self.peek()
             if kind == "*":
-                self.lex.next()
+                self.next()
                 out = sym.pointwise_multiply(out, self._factor())
             elif kind == "/":
-                self.lex.next()
+                self.next()
                 out = sym.scale(out, 1.0 / self._divisor())
             else:
                 return out
 
     def _divisor(self):
-        kind, val, pos = self.lex.peek()
+        kind, val, pos = self.peek()
         if kind != "number":
             raise ExprSyntaxError("'/' only by numeric literals", pos)
-        self.lex.next()
-        x = float(val)
-        k2, _, _ = self.lex.peek()
-        if k2 == "^":
-            self.lex.next()
+        self.next()
+        x = _number(val, pos)
+        if self.peek()[0] == "^":
+            self.next()
             x **= self._uint()
         if x == 0:
             raise ExprSyntaxError("division by zero", pos)
         return x
 
     def _uint(self):
-        kind, val, pos = self.lex.peek()
+        kind, val, pos = self.peek()
         if kind in ("+", "-") or (kind == "number"
                                   and ("." in val or "e" in val or "E" in val)):
             raise ExprPowerError("powers must be non-negative integers")
         if kind != "number":
             raise ExprSyntaxError("expected integer power", pos)
-        self.lex.next()
+        self.next()
         return int(val)
 
     def _factor(self):
         base = self._base()
-        kind, _, _ = self.lex.peek()
-        if kind == "^":
-            self.lex.next()
+        if self.peek()[0] == "^":
+            self.next()
             return sym.pointwise_power(base, self._uint())
         return base
 
     def _base(self):
-        kind, val, pos = self.lex.next()
+        kind, val, pos = self.next()
         if kind == "number":
-            return sym.const(float(val))
+            return sym.const(_number(val, pos))
         if kind == "(":
             inner = self._expr()
             self._expect(")")
@@ -157,7 +146,7 @@ class _Parser:
         raise ExprSyntaxError(f"unexpected {val or kind!r}", pos)
 
     def _expect(self, kind):
-        got, val, pos = self.lex.next()
+        got, val, pos = self.next()
         if got != kind:
             raise ExprSyntaxError(f"expected {kind!r}, got {val or got!r}", pos)
 
@@ -166,26 +155,17 @@ def _exp_of(inner):
     """exp of a polynomial symbol of total degree <= 2, as one Gaussian term."""
     if not inner.is_polynomial():
         raise ExprDegreeError("exp argument must be a polynomial")
-    app = aqq = apq = bp = bq = 0j
-    shift = 0j
+    fields, shift = {}, 0j
     for t in inner.terms:
         key = (t.pow_p, t.pow_q)
-        if key == (2, 0):
-            app = t.coeff
-        elif key == (0, 2):
-            aqq = t.coeff
-        elif key == (1, 1):
-            apq = t.coeff
-        elif key == (1, 0):
-            bp = t.coeff
-        elif key == (0, 1):
-            bq = t.coeff
-        elif key == (0, 0):
+        if key == (0, 0):
             shift = t.coeff
+        elif key in _EXPONENT_FIELDS:
+            fields[_EXPONENT_FIELDS[key]] = t.coeff
         else:
             raise ExprDegreeError(
                 f"exp argument has degree {t.degree} > 2")
-    return sym.gaussian(cmath.exp(shift), app, aqq, apq, bp, bq)
+    return sym.gaussian(cmath.exp(shift), **fields)
 
 
 def parse(text):
@@ -253,9 +233,9 @@ def _fmt_poly(terms):
 
 
 def _fmt_exponent(e):
-    entries = [(e.app, 2, 0), (e.apq, 1, 1), (e.aqq, 0, 2),
-               (e.bp, 1, 0), (e.bq, 0, 1)]
-    return _fmt_poly([(c, pp, pq) for c, pp, pq in entries if c != 0])
+    entries = [(getattr(e, name), pp, pq)
+               for (pp, pq), name in _EXPONENT_FIELDS.items()]
+    return _fmt_poly([entry for entry in entries if entry[0] != 0])
 
 
 def format_symbol(f):

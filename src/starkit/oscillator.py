@@ -8,7 +8,7 @@ constant imaginary part hbar*gamma/2 independent of n.
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -16,27 +16,13 @@ import numpy as np
 from . import symbols as sym
 from . import transition
 from .errors import DegreeGuardError, SingularTimeError
-from .star import damped_star, moyal_star, star_product
+from .star import moyal_star, star_product
 from .symbols import Params
 
 # Exact ladder construction beyond this total index loses double precision.
 LADDER_DEGREE_GUARD = 12
 
 TIME_SINGULARITY_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class DampedEigenvalue:
-    n: int
-    value: complex
-
-    @property
-    def real_energy(self):
-        return self.value.real
-
-    @property
-    def decay(self):
-        return self.value.imag
 
 
 def hamiltonian(params=Params()):
@@ -63,7 +49,8 @@ def _laguerre_symbols(n_max, x):
     return out
 
 
-@lru_cache(maxsize=None)
+# Bounded, as both caches are keyed by float Params (no caller reuses 30).
+@lru_cache(maxsize=64)
 def sho_wigner_eigenstate(n, params=Params()):
     """Stationary Wigner function 2 (-1)^n L_n(4H/hw) exp(-2H/hw)."""
     if n < 0:
@@ -114,7 +101,7 @@ def ladder_symbols(params=Params()):
     return a, sym.conjugate(a)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def sho_offdiagonal(n, nprime, params=Params()):
     """Off-diagonal element abar^{*n} * rho_0 * a^{*nprime} (moyal ladders).
 
@@ -138,21 +125,16 @@ def sho_offdiagonal(n, nprime, params=Params()):
 
 
 def undamped_propagator(t, params=Params()):
-    """Propagator symbol sec(wt/2) exp(2 H tan(wt/2) / (i hbar w))."""
-    w, m, h = params.omega, params.m, params.hbar
-    c = math.cos(0.5 * w * t)
-    if abs(c) < TIME_SINGULARITY_TOL:
-        raise SingularTimeError(f"cos(omega t / 2) vanishes near t = {t:g}")
-    tau = 2.0 * math.tan(0.5 * w * t) / (1j * h * w)
-    return sym.gaussian(1.0 / c, app=tau / (2.0 * m),
-                        aqq=0.5 * tau * m * w * w)
+    """Propagator symbol sec(wt/2) exp(2 H tan(wt/2) / (i hbar w)): the
+    damped propagator at gamma = 0, where its bracket is exactly 1."""
+    return damped_propagator(t, replace(params, gamma=0.0))
 
 
 def damped_propagator(t, params=Params()):
     """Damped propagator, equal to exp(gamma t / 2) T(U(t)).
 
-    Closed form: the same quadratic exponent as U(t) with the p^2
-    coefficient divided by 1 + (2 gamma / w) tan(w t / 2), and prefactor
+    Closed form: the quadratic exponent of U(t) with the p^2 coefficient
+    divided by 1 + (2 gamma / w) tan(w t / 2), and prefactor
 
         exp(gamma t / 2) / ( cos(w t / 2) sqrt(1 + (2 gamma/w) tan(w t/2)) ).
 
@@ -175,36 +157,9 @@ def damped_propagator(t, params=Params()):
                         aqq=0.5 * tau * m * w * w)
 
 
-def damped_eigenvalue(n, params=Params()):
-    h, w, g = params.hbar, params.omega, params.gamma
-    return DampedEigenvalue(n, 0.5 * h * ((2 * n + 1) * w + 1j * g))
-
-
 def damped_eigenstate(n, params=Params()):
-    """(T(rho_n), eigenvalue) solving H *_gamma rho = E_gamma rho."""
+    """(T(rho_n), E_n + i hbar gamma/2) solving H *_gamma rho = E rho."""
     op = transition.damped_transition(params.gamma, params)
     rho = transition.apply(op, sho_wigner_eigenstate(n, params))
-    return rho, damped_eigenvalue(n, params)
-
-
-def damped_offdiagonal_candidate(n, nprime, params=Params()):
-    """T image of the off-diagonal element, with two residual diagnostics.
-
-    Returns (rho, right_residual, left_residual) where right_residual
-    checks rho *_gamma H = (E_nprime + i hbar gamma/2) rho (expected to
-    hold) and left_residual reports how far H *_{-gamma} rho is from
-    conj(E_n + i hbar gamma/2) rho, the conjugate-pair eigen equation; the
-    latter is a diagnostic only, with no pass contract.
-    """
-    g = params.gamma
-    op = transition.damped_transition(g, params)
-    rho = transition.apply(op, sho_offdiagonal(n, nprime, params))
-    H = hamiltonian(params)
-    shift = 0.5j * params.hbar * g
-    right = sym.residual(
-        star_product(rho, H, damped_star(g, params)),
-        sym.scale(rho, energy(nprime, params) + shift))
-    left = sym.residual(
-        star_product(H, rho, damped_star(-g, params)),
-        sym.scale(rho, complex(energy(n, params) + shift).conjugate()))
-    return rho, right, left
+    h, w, g = params.hbar, params.omega, params.gamma
+    return rho, 0.5 * h * ((2 * n + 1) * w + 1j * g)

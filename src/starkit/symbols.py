@@ -51,7 +51,7 @@ class Params:
         return "underdamped" if self.gamma < self.omega else "overdamped"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuadExponent:
     """Quadratic exponent app*p^2 + aqq*q^2 + apq*p*q + bp*p + bq*q."""
 
@@ -95,7 +95,7 @@ class QuadExponent:
 ZERO_EXPO = QuadExponent()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Term:
     coeff: complex
     pow_p: int
@@ -107,7 +107,7 @@ class Term:
         return self.pow_p + self.pow_q
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Symbol:
     """Canonical finite sum of terms; the empty tuple is the zero symbol."""
 
@@ -175,44 +175,46 @@ def _check_finite(c):
     return c
 
 
+def _representative(expo, reps):
+    """Index in reps of the first representative within MERGE_TOL of expo,
+    appending the checked entries of expo when there is none."""
+    entries = tuple(_check_finite(complex(e)) for e in expo.entries())
+    for i, r in enumerate(reps):
+        if all(abs(a - b) <= MERGE_TOL for a, b in zip(entries, r)):
+            return i
+    reps.append(entries)
+    return len(reps) - 1
+
+
 def normalize(raw):
     """Canonical form of a list of terms.
 
     Exponents within MERGE_TOL of an earlier representative are identified
     with it; terms sharing (pow_p, pow_q, exponent) merge by coefficient
     addition; zero coefficients are pruned; ordering is by descending
-    (total degree, pow_p, pow_q) then lexicographic exponent.
+    (total degree, pow_p, pow_q) then lexicographic exponent.  Each
+    distinct exponent is checked and placed once.
     """
     reps = []
+    rep_of = {}  # exponent -> index of its representative in reps
     buckets = {}
     for t in raw:
         c = _check_finite(complex(t.coeff))
-        entries = tuple(_check_finite(complex(e)) for e in t.expo.entries())
-        idx = None
-        for i, r in enumerate(reps):
-            if all(abs(a - b) <= MERGE_TOL for a, b in zip(entries, r)):
-                idx = i
-                break
+        idx = rep_of.get(t.expo)
         if idx is None:
-            idx = len(reps)
-            reps.append(entries)
+            idx = rep_of[t.expo] = _representative(t.expo, reps)
         buckets.setdefault((t.pow_p, t.pow_q, idx), []).append(c)
-
-    def expo_key(entries):
-        return tuple(x for e in entries for x in (e.real, e.imag))
-
     expos = [QuadExponent(*r) for r in reps]  # one shared object per group
+    keys = [tuple(x for e in r for x in (e.real, e.imag)) for r in reps]
     out = []
-    for (pp, pq, idx), cs in buckets.items():
+    for pp, pq, idx in sorted(buckets, key=lambda k: (
+            -(k[0] + k[1]), -k[0], -k[1], keys[k[2]])):
         # summation order fixed by value, so the result is independent of
         # the order the raw terms arrived in
-        cs.sort(key=lambda z: (z.real, z.imag))
-        c = sum(cs)
-        if c == 0:
-            continue
-        out.append(Term(c, pp, pq, expos[idx]))
-    out.sort(key=lambda t: (-(t.pow_p + t.pow_q), -t.pow_p, -t.pow_q,
-                            expo_key(t.expo.entries())))
+        cs = sorted(buckets[pp, pq, idx], key=lambda z: (z.real, z.imag))
+        c = _check_finite(sum(cs))  # a sum of finite terms can overflow
+        if c != 0:
+            out.append(Term(c, pp, pq, expos[idx]))
     return Symbol(tuple(out))
 
 

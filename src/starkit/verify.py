@@ -148,7 +148,7 @@ def check_damped_spectrum(n_max=8):
         for n in range(n_max + 1):
             rho, ev = oscillator.damped_eigenstate(n, params)
             worst = max(worst, sym.residual(star_product(H, rho, star),
-                                            sym.scale(rho, ev.value)))
+                                            sym.scale(rho, ev)))
         out.append(CheckResult(
             f"H *_g rho_gn = E_gn rho_gn (n <= {n_max}, gamma={g})",
             worst, 1e-9))

@@ -392,6 +392,15 @@ EXIT_CASES = {
         "grid", "q", "--grid=-1,1,-1,1,3,3", "--out", str(tmp / "g.csv"),
         "--hbar", "1"]),
     "singular propagator time": (5, "vanishes", _singular_time),
+    "scenario not an object": (2, "scenario must be a JSON object",
+                               lambda tmp, mp: ["evolve", _write_scenario(
+                                   tmp / "sc.json", [])]),
+    "params not an object": (2, "'params' must be a JSON object",
+                             lambda tmp, mp: _scenario_argv(
+                                 tmp, {"initial": "q", "params": []})),
+    "output entry not an object": (2, "'outputs' entry must be a JSON object",
+                                   lambda tmp, mp: _scenario_argv(
+        tmp, {"initial": "q", "outputs": ["out.csv"]})),
 }
 
 

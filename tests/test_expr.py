@@ -85,3 +85,51 @@ def test_print_parse_round_trip_complex_prefactors():
     U = sk.damped_propagator(0.4, sym.Params(gamma=0.2))
     back = parse(format_symbol(U))
     assert sym.approx_equal(back, U, 1e-12).ok
+
+
+def test_parse_lone_dot_is_a_syntax_error():
+    # a number needs at least one digit
+    for text, position in ((".", 0), ("1 + .", 4), (".e5", 0), ("q/.", 2)):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(text)
+        assert err.value.position == position
+
+
+# (text, error type, position); the Expr{Power,Degree}Error types carry none
+MALFORMED = [
+    ("", ExprSyntaxError, 0),
+    ("q +", ExprSyntaxError, 3),
+    ("(q", ExprSyntaxError, 2),
+    ("q)", ExprSyntaxError, 1),
+    ("q $ p", ExprSyntaxError, 2),
+    # tokens are read lazily: the grammar error comes before the stray '$'
+    ("q + * $", ExprSyntaxError, 4),
+    ("foo", ExprSyntaxError, 0),
+    ("p_q", ExprSyntaxError, 1),
+    ("1.2.3", ExprSyntaxError, 3),
+    ("2e", ExprSyntaxError, 1),
+    ("exp q", ExprSyntaxError, 4),
+    ("exp(q^2", ExprSyntaxError, 7),
+    ("p^q", ExprSyntaxError, 2),
+    ("q/p", ExprSyntaxError, 2),
+    ("q/0^2", ExprSyntaxError, 2),
+    ("p^-1", ExprPowerError, None),
+    ("q^1.5", ExprPowerError, None),
+    ("p^1e2", ExprPowerError, None),
+    ("p^.", ExprPowerError, None),
+    ("exp(p^3)", ExprDegreeError, None),
+    ("exp(exp(q))", ExprDegreeError, None),
+]
+
+
+@pytest.mark.parametrize("text, error, position", MALFORMED)
+def test_parse_malformed_inputs(text, error, position):
+    with pytest.raises(error) as err:
+        parse(text)
+    assert type(err.value) is error
+    assert getattr(err.value, "position", None) == position
+
+
+def test_print_parse_round_trip_is_exact_on_wigner_24():
+    rho = sk.sho_wigner_eigenstate(24)
+    assert parse(format_symbol(rho)) == rho

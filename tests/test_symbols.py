@@ -28,6 +28,17 @@ def test_normalize_merges_nearby_exponents():
     # merged symbol evaluates like the unmerged sum
     direct = sym.gaussian(1.0, app=-1.0) + sym.gaussian(1.0, app=-1.0 + 1e-14)
     assert sym.residual(merged, direct) < 1e-10
+    # a chain: e3 is within tolerance of e2 but not of e1, and e2 joins
+    # e1, the first representative, so e3 starts a representative of its own
+    e2 = sym.QuadExponent(app=-1.0 + 0.8e-12)
+    e3 = sym.QuadExponent(app=-1.0 + 1.6e-12)
+    chain = sym.normalize([sym.Term(1.0, 0, 0, e) for e in (e1, e2, e3)])
+    assert [t.expo for t in chain.terms] == [e1, e3]
+    assert [t.coeff for t in chain.terms] == [2.0, 1.0]
+    # the representative is the first exponent seen, whatever the order
+    swapped = sym.normalize([sym.Term(1.0, 0, 0, e) for e in (e2, e1, e3)])
+    assert [t.expo for t in swapped.terms] == [e2]
+    assert swapped.terms[0].coeff == 3.0
 
 
 def test_normalize_rejects_non_finite():
@@ -35,6 +46,17 @@ def test_normalize_rejects_non_finite():
         sym.normalize([sym.Term(float("nan"), 0, 0)])
     with pytest.raises(NonFiniteError):
         sym.normalize([sym.Term(1.0, 0, 0, sym.QuadExponent(app=float("inf")))])
+    # an exponent seen before is placed once, but every coefficient is checked
+    e = sym.QuadExponent(app=-1.0)
+    with pytest.raises(NonFiniteError):
+        sym.normalize([sym.Term(1.0, 0, 0, e), sym.Term(float("inf"), 1, 0, e)])
+    # every distinct exponent is checked, not only the first
+    with pytest.raises(NonFiniteError):
+        sym.normalize([sym.Term(1.0, 0, 0, e),
+                       sym.Term(1.0, 0, 0, sym.QuadExponent(aqq=float("nan")))])
+    # a sum of finite coefficients that overflows is caught too
+    with pytest.raises(NonFiniteError):
+        sym.normalize([sym.Term(1e308, 0, 0), sym.Term(1e308, 0, 0)])
 
 
 def test_combine_is_linear(rng):
