@@ -5,7 +5,7 @@
   `WIDE_SPEC` lattice (one exponent group: one exp and one 2-D Horner).
 - 100 RK4 steps of the damped advection oracle on the same lattice and
   on 401x401 (2.6 MB per state, outside an L2 share), also reported in
-  ns per node-step.
+  ns per node-step: a real state (one real plane) and a complex one (two).
 - `transition.apply` on the Wigner state n = 12 (damped gamma = 0.2 and
   husimi s = 1) and `dynamics.pullback` of the same state along the damped
   flow at t = 1.
@@ -67,14 +67,17 @@ def bench_rk4(steps=100, dt=1e-3):
     params = sym.Params(gamma=0.1)
     for n in (201, 401):
         spec = sym.GridSpec(-6.0, 6.0, -6.0, 6.0, n, n)
-        grid = numerics.sample(sym.gaussian(1.0, app=-0.5, aqq=-0.5), spec)
         print(f"rk4_evolve: {steps} damped steps on {n}x{n} nodes")
-        med, best, _ = timeit(
-            lambda: numerics.rk4_evolve(grid, "damped", steps * dt, dt,
-                                        params), 3)
-        report("time", med, best)
-        print(f"  {med / (steps * n * n) * 1e9:.2f} ns per node-step "
-              f"(median)")
+        for label, amplitude in (("real state, one plane", 1.0),
+                                 ("complex state, two planes", 1.0 + 0.5j)):
+            grid = numerics.sample(
+                sym.gaussian(amplitude, app=-0.5, aqq=-0.5), spec)
+            med, best, _ = timeit(
+                lambda: numerics.rk4_evolve(grid, "damped", steps * dt, dt,
+                                            params), 5)
+            report(label, med, best)
+            print(f"    {med / (steps * n * n) * 1e9:.2f} ns per node-step "
+                  f"(median)")
 
 
 def bench_maps(n=12):

@@ -114,13 +114,15 @@ def _evolution(doc, params, spec):
     if kind == "eigenexpansion":
         coeffs = {(int(e["n"]), int(e["nprime"])):
                   complex(e["re"], e.get("im", 0.0))
-                  for e in doc["coefficients"]}
+                  for e in (_object(e, "each 'coefficients' entry")
+                            for e in doc["coefficients"])}
         return lambda times: (dynamics.evolve_eigenexpansion(coeffs, t, params)
                               for t in times)
     if kind == "damped_ansatz":
         entries = [(_complex_pair(e["amplitude"]), _complex_pair(e["energy"]),
                     _complex_pair(e["energy_prime"]), parse(e["state"]))
-                   for e in doc["entries"]]
+                   for e in (_object(e, "each 'entries' item")
+                             for e in doc["entries"])]
         return lambda times: (dynamics.evolve_damped_ansatz(entries, t, params)
                               for t in times)
     if kind not in ("classical", "naive", "rk4"):
@@ -138,7 +140,11 @@ def _evolution(doc, params, spec):
             if t > 0 else initial for t in times)
 
     def rk4_states(times):
-        print(f"cfl_ratio={numerics.cfl_ratio(spec, params, dt):.6e}")
+        # the largest ratio over the steps taken bounds every CFLWarning
+        ends = [t for t in times if t > 0.0]
+        h = max((numerics.rk4_schedule(b - a, dt)[1]
+                 for a, b in zip([0.0] + ends, ends) if b > a), default=dt)
+        print(f"cfl_ratio={numerics.cfl_ratio(spec, params, h):.6e}")
         grid, prev_t = numerics.sample(initial, spec), 0.0
         for t in times:
             if t > prev_t:
@@ -204,8 +210,7 @@ def cmd_eigen(args):
             else oscillator.sho_offdiagonal(n, nprime, params))
     rho = transition.apply(transition.damped_transition(args.gamma, params),
                            base)
-    shift = 0.5j * params.hbar * args.gamma
-    e, e_prime = (oscillator.energy(k, params) + shift for k in (n, nprime))
+    e, e_prime = (oscillator.damped_energy(k, params) for k in (n, nprime))
     H, star = oscillator.hamiltonian(params), damped_star(args.gamma, params)
     left = sym.residual(star_product(H, rho, star), sym.scale(rho, e))
     right = sym.residual(star_product(rho, H, star), sym.scale(rho, e_prime))
@@ -229,8 +234,9 @@ def _tol_mark(res, tol):
 
 
 def _fmt_complex(z):
-    """E_n + i hbar gamma/2, whose imaginary part is never negative."""
-    return f"{z.real:g} + {z.imag:g}i" if z.imag else f"{z.real:g}"
+    """E_n + i hbar gamma/2, whose imaginary part is never negative, in
+    shortest round-trip digits, so the printed value is exact."""
+    return f"{z.real!r} + {z.imag!r}i" if z.imag else repr(z.real)
 
 
 def cmd_verify(args):

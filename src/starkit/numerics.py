@@ -128,8 +128,8 @@ def cfl_ratio(spec, params, dt, kind="damped"):
     return dt * vmax / min(_steps(spec))
 
 
-def _advection(spec, params, kind):
-    """rhs(u, out) of rk4_evolve on (2, nq*np) planes; 0 on the outer ring."""
+def _advection(spec, params, kind, planes):
+    """rhs(u, out) of rk4_evolve on (planes, nq*np); 0 on the outer ring."""
     nq, n_p, n = spec.nq, spec.np, spec.nq * spec.np
     dq, dp = _steps(spec)
     vq, vp = _advection_fields(spec, params, kind)
@@ -138,7 +138,7 @@ def _advection(spec, params, kind):
               for w in (-vq / (12.0 * dq), -vp / (12.0 * dp)))
     cx = (params.gamma * params.hbar / (144.0 * dq * dp) * inner.ravel()
           * np.array([[1.0], [-1.0]]) if kind == "naive" else None)
-    du_q, du_p = np.zeros((2, n)), np.zeros((2, n))
+    du_q, du_p = np.zeros((planes, n)), np.zeros((planes, n))
     edge = np.array([-3.0, -10.0, 18.0, -6.0, 1.0])  # one-sided, at u[1]
 
     def fd4(u, out, s, axis):  # 12h d/dx: one flat pass, one-sided edges
@@ -147,7 +147,8 @@ def _advection(spec, params, kind):
         o *= 8.0
         o += u[:, :n - 4 * s]
         o -= u[:, 4 * s:]
-        ue, oe = (a.reshape(2, nq, n_p).swapaxes(1, axis) for a in (u, out))
+        ue, oe = (a.reshape(planes, nq, n_p).swapaxes(1, axis)
+                  for a in (u, out))
         oe[:, 1] = edge @ ue[:, :5]
         oe[:, -2] = -edge @ ue[:, :-6:-1]
 
@@ -165,32 +166,44 @@ def _advection(spec, params, kind):
     return rhs
 
 
+def rk4_schedule(t, dt):
+    """(steps, h) of rk4_evolve over t: h = t / round(t/dt), up to 1.5 dt."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    steps = max(1, round(t / dt))
+    return steps, t / steps
+
+
 def rk4_evolve(g0, kind, t, dt, params=Params()):
     """Classical RK4 advection of grid values; an oracle, not the primary path.
 
     kind "damped" applies -vq d_q - vp d_p with vq = p/m, vp = -m w^2 q -
     2 g p; "naive" drops the damping drift and adds the i gamma hbar d_p d_q
     term of the rejected equation (p-stencil of the q-stencil, added to the
-    opposite plane).  The state is two real planes (real, imaginary part)
-    flattened q-major, so a 5-point 4th-order stencil is one pass with
-    offsets +-np (q) or +-1 (p); rows 1, nq-2 and columns 1, np-2 are
-    patched with one-sided stencils.  Buffers are allocated once per call.
-    The outer ring is never advanced (zero coefficients): a far-field
-    closure, as states decay below 1e-8 there and the one-sided edge
-    stencils would otherwise seed a slow exponential instability.  A run
-    that overflows raises NonFiniteError naming its CFL ratio.
+    opposite plane).  The state is real planes flattened q-major, so a
+    5-point 4th-order stencil is one pass with offsets +-np (q) or +-1 (p);
+    rows 1, nq-2 and columns 1, np-2 are patched with one-sided stencils.
+    Buffers are allocated once per call.  A "naive" state, or one with any
+    imaginary entry other than +0.0, is two planes (real, imaginary part).
+    A "damped" state whose imaginary part is all +0.0 is one plane: the
+    damped advection is real (the corrected equation of motion is the
+    classical one), so that part would stay +0.0 at every step, and the
+    result equals the two-plane one bit for bit.  The outer ring is never
+    advanced (zero coefficients): a far-field closure, as states decay
+    below 1e-8 there and the one-sided edge stencils would otherwise seed
+    a slow exponential instability.  A run that overflows raises
+    NonFiniteError naming its CFL ratio.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     spec = g0.spec
-    steps = max(1, round(t / dt))
-    h = t / steps  # up to 1.5 dt, so the CFL ratio is judged at h
-    ratio = cfl_ratio(spec, params, h, kind)
+    steps, h = rk4_schedule(t, dt)
+    ratio = cfl_ratio(spec, params, h, kind)  # judged at h, not dt
     if ratio > 0.5:
         warnings.warn(f"step h = {h:.3g}: h * vmax / dx = {ratio:.3g} "
                       "exceeds 0.5", CFLWarning)
-    rhs = _advection(spec, params, kind)
-    u = np.stack([np.real(g0.values).ravel(), np.imag(g0.values).ravel()])
+    re, im = np.real(g0.values).ravel(), np.imag(g0.values).ravel()
+    real = kind == "damped" and not (im.any() or np.signbit(im).any())
+    u = np.stack([re] if real else [re, im])
+    rhs = _advection(spec, params, kind, len(u))
     ksum, k, stage = (np.zeros_like(u) for _ in range(3))
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
@@ -208,7 +221,8 @@ def rk4_evolve(g0, kind, t, dt, params=Params()):
     if not np.isfinite(u).all():
         raise NonFiniteError(f"RK4 state overflowed after {steps} steps "
                              f"(cfl_ratio={ratio:.3g}; lower dt)")
-    return PhaseGrid(spec, (u[0] + 1j * u[1]).reshape(spec.nq, spec.np))
+    values = u[0] + 0j if real else u[0] + 1j * u[1]
+    return PhaseGrid(spec, values.reshape(spec.nq, spec.np))
 
 
 def _f17(x):

@@ -35,6 +35,12 @@ def energy(n, params=Params()):
     return params.hbar * params.omega * (n + 0.5)
 
 
+def damped_energy(n, params=Params()):
+    """E_n + i hbar gamma/2, the eigenvalue of T_gamma(rho_n) under *_gamma."""
+    h, w, g = params.hbar, params.omega, params.gamma
+    return 0.5 * h * ((2 * n + 1) * w + 1j * g)
+
+
 def _laguerre_symbols(n_max, x):
     """L_0 .. L_{n_max} of the symbol x via the three-term recurrence
     (n+1) L_{n+1} = (2n+1-x) L_n - n L_{n-1}; stable for the range used."""
@@ -161,5 +167,4 @@ def damped_eigenstate(n, params=Params()):
     """(T(rho_n), E_n + i hbar gamma/2) solving H *_gamma rho = E rho."""
     op = transition.damped_transition(params.gamma, params)
     rho = transition.apply(op, sho_wigner_eigenstate(n, params))
-    h, w, g = params.hbar, params.omega, params.gamma
-    return rho, 0.5 * h * ((2 * n + 1) * w + 1j * g)
+    return rho, damped_energy(n, params)

@@ -104,6 +104,20 @@ def test_eigen_damped(capsys):
     assert "0.5 + 0.05i" in out
 
 
+@pytest.mark.parametrize("gamma", [0.0, 0.3])
+def test_eigen_prints_damped_eigenstate_value(gamma, capsys):
+    params = sym.Params(m=1.7, omega=0.8, hbar=0.6, gamma=gamma)
+    code, out, _ = run(capsys, "eigen", "1", "--m", "1.7", "--omega", "0.8",
+                       "--hbar", "0.6", "--gamma", str(gamma))
+    assert code == 0
+    line = next(ln for ln in out.splitlines()
+                if ln.startswith("eigenvalue: "))
+    real, _, imag = line.split(": ")[1].removesuffix("i").partition(" + ")
+    want = oscillator.damped_eigenstate(1, params)[1]
+    assert complex(float(real), float(imag or 0.0)) == want
+    assert want.real == 0.7200000000000001  # sho energy(1) would be 0.72
+
+
 def test_eigen_offdiagonal(capsys):
     code, out, _ = run(capsys, "eigen", "1", "0")
     assert code == 0
@@ -274,6 +288,25 @@ def test_evolve_rk4_scenario(capsys, tmp_path):
     assert numerics.grid_distance(grid, sampled) < 1e-3
 
 
+def test_evolve_rk4_cfl_ratio_at_step_taken(capsys, tmp_path):
+    # dt = 0.02 would give 0.40, but t = 0.029 is one step of h = 0.029
+    doc = {
+        "initial": "exp(-(q^2+p^2)/2)",
+        "evolution": "rk4",
+        "dt": 0.02,
+        "times": [0.0, 0.029],
+        "grid": {"q_min": -6, "q_max": 6, "p_min": -6, "p_max": 6,
+                 "nq": 41, "np": 41},
+    }
+    with pytest.warns(CFLWarning, match="h = 0.029"):
+        code, out, _ = run(capsys, "evolve",
+                           _write_scenario(tmp_path / "sc.json", doc))
+    assert code == 0
+    cfl = [ln for ln in out.splitlines() if ln.startswith("cfl_ratio=")]
+    # h * max|v| / dq = 0.029 * 6 / 0.3
+    assert float(cfl[0].split("=")[1]) == pytest.approx(0.58, rel=1e-12)
+
+
 def test_evolve_rk4_unstable_exits_numeric(capsys, tmp_path):
     doc = {
         "params": {"gamma": 0.1},
@@ -384,6 +417,14 @@ EXIT_CASES = {
     "expansion without nprime": (2, "nprime", lambda tmp, mp: _scenario_argv(
         tmp, {"evolution": "eigenexpansion",
               "coefficients": [{"n": 1, "re": 1.0}]})),
+    "expansion entry not an object": (
+        2, "'coefficients' entry must be a JSON object",
+        lambda tmp, mp: _scenario_argv(
+            tmp, {"evolution": "eigenexpansion", "coefficients": ["x"]})),
+    "ansatz item not an object": (
+        2, "'entries' item must be a JSON object",
+        lambda tmp, mp: _scenario_argv(
+            tmp, {"evolution": "damped_ansatz", "entries": [["x"]]})),
     "expansion past the ladder guard": (2, "guard", lambda tmp, mp:
                                         _scenario_argv(
         tmp, {"evolution": "eigenexpansion",

@@ -159,11 +159,15 @@ def test_rk4_matches_exact_flow():
     assert numerics.grid_distance(out, exact) <= 1e-5
 
 
-def test_rk4_naive_mode_breaks_reality():
+def test_rk4_naive_mode_breaks_reality(monkeypatch):
+    # a real state, kept on two planes: the naive term couples them
     par = sym.Params(gamma=0.2)
     spec = sym.GridSpec(-6.0, 6.0, -6.0, 6.0, 101, 101)
     g0 = numerics.sample(sk.sho_wigner_eigenstate(0, par), spec)
+    assert _same_bits(g0.values.imag, np.zeros((101, 101)))
+    planes = _planes_used(monkeypatch)
     out = numerics.rk4_evolve(g0, "naive", 0.2, 2e-3, par)
+    assert planes == [2]
     assert np.abs(out.values.imag).max() > 1e-3
 
 
@@ -189,6 +193,59 @@ def test_rk4_cfl_judged_at_step(t, warns):
     assert len(cfl) == int(warns)
     if warns:
         assert "h = 0.029" in str(cfl[0].message)
+
+
+def _planes_used(monkeypatch):
+    """List that records the plane count of every rk4_evolve call."""
+    seen, advection = [], numerics._advection
+
+    def spy(spec, params, kind, planes):
+        seen.append(planes)
+        return advection(spec, params, kind, planes)
+    monkeypatch.setattr(numerics, "_advection", spy)
+    return seen
+
+
+def _same_bits(x, y):
+    return bool((x == y).all() and (np.signbit(x) == np.signbit(y)).all())
+
+
+@pytest.mark.parametrize("n", [21, 61])
+def test_rk4_real_damped_state_on_one_plane(n, monkeypatch):
+    # the damped advection is real: the real part of a + ib is that of a
+    par = sym.Params(gamma=0.2)
+    spec = sym.GridSpec(-6.0, 6.0, -6.0, 6.0, n, n)
+    a = numerics.sample(sym.gaussian(1.0, app=-0.5, aqq=-0.6, apq=0.15,
+                                     bp=-0.3, bq=0.5), spec)
+    b = numerics.sample(sym.gaussian(0.7, app=-0.4, aqq=-0.5, bq=-0.2),
+                        spec)
+    assert _same_bits(a.values.imag, np.zeros((n, n)))
+    planes = _planes_used(monkeypatch)
+    both = numerics.rk4_evolve(
+        numerics.PhaseGrid(spec, a.values + 1j * b.values.real), "damped",
+        0.05, 1e-3, par)
+    alone = numerics.rk4_evolve(a, "damped", 0.05, 1e-3, par)
+    assert planes == [2, 1]
+    assert _same_bits(both.values.real, alone.values.real)
+    assert _same_bits(alone.values.imag, np.zeros((n, n)))
+
+
+def test_rk4_negative_zero_imaginary_part_keeps_two_planes(monkeypatch):
+    # -0.0 is not +0.0 bit for bit, so the state keeps its imaginary plane;
+    # the two-plane result matches the one-plane one (+0.0 imaginary part)
+    par = sym.Params(gamma=0.2)
+    spec = sym.GridSpec(-6.0, 6.0, -6.0, 6.0, 21, 21)
+    g0 = numerics.sample(sym.gaussian(1.0, app=-0.5, aqq=-0.6, bp=-0.3),
+                         spec)
+    signed = g0.values.copy()
+    signed.imag[4, 7] = -0.0
+    planes = _planes_used(monkeypatch)
+    two = numerics.rk4_evolve(numerics.PhaseGrid(spec, signed), "damped",
+                              0.05, 1e-3, par)
+    one = numerics.rk4_evolve(g0, "damped", 0.05, 1e-3, par)
+    assert planes == [2, 1]
+    assert _same_bits(two.values.real, one.values.real)
+    assert _same_bits(two.values.imag, one.values.imag)
 
 
 def test_export_csv_round_trip(tmp_path):
@@ -310,12 +367,16 @@ def test_advection_operator_exact_on_quartic():
             expected = expected + 1j * par.gamma * par.hbar * d2u_dpdq
         out = np.zeros((2, u.size))
         planes = np.stack([u.real.ravel(), u.imag.ravel()])
-        numerics._advection(spec, par, kind)(planes, out)
+        numerics._advection(spec, par, kind, 2)(planes, out)
         got = (out[0] + 1j * out[1]).reshape(u.shape)
         assert np.abs(got - expected)[1:-1, 1:-1].max() < 1e-10
         ring = np.ones(u.shape, dtype=bool)
         ring[1:-1, 1:-1] = False
         assert np.all(got[ring] == 0.0)
+        if kind == "damped":  # a real operator: one plane, the real part
+            one = np.zeros((1, u.size))
+            numerics._advection(spec, par, kind, 1)(planes[:1].copy(), one)
+            assert np.array_equal(one[0], out[0])
 
 
 def _fd4_reference(u, h, axis):
@@ -335,10 +396,19 @@ def _fd4_reference(u, h, axis):
 
 @pytest.mark.parametrize("kind", ["damped", "naive"])
 def test_rk4_matches_complex_reference(kind):
+    _check_complex_reference(kind, 1.0 + 0.5j)
+
+
+@pytest.mark.parametrize("kind", ["damped", "naive"])
+def test_rk4_real_state_matches_complex_reference(kind):
+    _check_complex_reference(kind, 1.0)  # one plane if damped
+
+
+def _check_complex_reference(kind, amplitude):
     # the plain complex-array RK4 with per-axis stencils and a frozen ring
     par = sym.Params(m=1.2, omega=0.8, hbar=0.9, gamma=0.2)
     spec = sym.GridSpec(-5.0, 6.0, -6.0, 5.0, 23, 19)
-    rho = sym.gaussian(1.0 + 0.5j, app=-0.5, aqq=-0.6, apq=0.15, bp=-0.3,
+    rho = sym.gaussian(amplitude, app=-0.5, aqq=-0.6, apq=0.15, bp=-0.3,
                        bq=0.5)
     g0 = numerics.sample(rho, spec)
     vq, vp = numerics._advection_fields(spec, par, kind)
