@@ -14,6 +14,9 @@
   (the group formula in doubled phase space).
 - `normalize` on the terms of the Wigner state n = 24 repeated three
   times (975 raw terms, one exponent), and `parse` of its printed form.
+- `export_grid` (CSV and JSON) and `load_grid` on `WIDE_SPEC` of the
+  Wigner state n = 12 (real values) and of the off-diagonal state
+  rho_{4,8} evolved to t = 0.7 at gamma = 0.2 (complex values).
 
 Run from the repository root as
 
@@ -22,7 +25,9 @@ Run from the repository root as
 Each line reports the median and the minimum of several repeats.
 """
 
+import os
 import statistics
+import tempfile
 import time
 
 import numpy as np
@@ -121,9 +126,31 @@ def bench_algebra(n=24):
     print(f"  parse(format_symbol(rho)) == rho: {back == state}")
 
 
+def bench_grid_io():
+    states = (
+        ("Wigner n=12, real", sk.sho_wigner_eigenstate(12)),
+        ("rho_{4,8} at t=0.7, gamma=0.2, complex",
+         dynamics.evolve_classical(oscillator.sho_offdiagonal(4, 8), 0.7,
+                                   sym.Params(gamma=0.2))))
+    print(f"grid export and load on {WIDE_SPEC.nq}x{WIDE_SPEC.np} nodes")
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, state in states:
+            grid = numerics.sample(state, WIDE_SPEC)
+            for fmt in ("csv", "json"):
+                path = os.path.join(tmp, f"grid.{fmt}")
+                med, best, _ = timeit(
+                    lambda: numerics.export_grid(grid, fmt, path), 7)
+                report(f"{label}: export_grid {fmt}", med, best)
+                med, best, back = timeit(lambda: numerics.load_grid(path), 7)
+                report(f"{label}: load_grid {fmt}", med, best)
+                print(f"  load_grid(export_grid(g)) == g: "
+                      f"{np.array_equal(back.values, grid.values)}")
+
+
 if __name__ == "__main__":
     bench_eval()
     bench_rk4()
     bench_maps()
     bench_products()
     bench_algebra()
+    bench_grid_io()

@@ -38,7 +38,7 @@ EXIT_CODES = (
     ((ValueError, KeyError, TypeError, ExprSyntaxError, ExprDegreeError,
       ExprPowerError, DegreeGuardError), EXIT_CONFIG),
     ((SingularGaussianError, BranchAmbiguityError, ExponentOverflowError,
-      NonFiniteError, PositivityError, NotImplementedError, OverflowError),
+      NonFiniteError, PositivityError, OverflowError),
      EXIT_NUMERIC),
     (OSError, EXIT_IO),
 )

@@ -225,31 +225,32 @@ def rk4_evolve(g0, kind, t, dt, params=Params()):
     return PhaseGrid(spec, values.reshape(spec.nq, spec.np))
 
 
-def _f17(x):
-    return format(float(x), ".17g")
-
-
 def export_grid(grid, fmt, destination):
-    """Write a grid as CSV ("q,p,re,im", q-major) or JSON; byte-deterministic."""
+    """Write a grid as CSV ("q,p,re,im", q-major) or JSON; byte-deterministic.
+
+    Each lattice row is one %-template over the row's (re, im) floats:
+    "%.17g" is format(x, ".17g"), and "%r" is the float repr that json
+    writes, so the bytes are those of the per-element formulas.
+    """
+    s = grid.spec
+    rows = np.ascontiguousarray(grid.values, dtype=np.complex128).view(
+        np.float64).tolist()  # per q: re, im, re, im, ...
     try:
         if fmt == "csv":
-            lines = ["q,p,re,im"]
-            qs = grid.spec.q_values()
-            ps = grid.spec.p_values()
-            for iq in range(grid.spec.nq):
-                for ip in range(grid.spec.np):
-                    v = grid.values[iq, ip]
-                    lines.append(f"{_f17(qs[iq])},{_f17(ps[ip])},"
-                                 f"{_f17(v.real)},{_f17(v.imag)}")
-            payload = "\n".join(lines) + "\n"
+            tail = [",%.17g,%%.17g,%%.17g" % p for p in s.p_values().tolist()]
+            lines = []
+            for q, row in zip(s.q_values().tolist(), rows):
+                q = "%.17g" % q
+                lines.append((q + ("\n" + q).join(tail)) % tuple(row))
+            payload = "q,p,re,im\n" + "\n".join(lines) + "\n"
         elif fmt == "json":
-            s = grid.spec
-            doc = {"spec": {"q_min": s.q_min, "q_max": s.q_max,
-                            "p_min": s.p_min, "p_max": s.p_max,
-                            "nq": s.nq, "np": s.np},
-                   "values": [[v.real, v.imag]
-                              for row in grid.values for v in row]}
-            payload = json.dumps(doc, separators=(",", ":")) + "\n"
+            head = json.dumps({"spec": {"q_min": s.q_min, "q_max": s.q_max,
+                                        "p_min": s.p_min, "p_max": s.p_max,
+                                        "nq": s.nq, "np": s.np}},
+                              separators=(",", ":"))
+            pairs = ",".join(["[%r,%r]"] * s.np)
+            payload = (head[:-1] + ',"values":['
+                       + ",".join(pairs % tuple(row) for row in rows) + "]}\n")
         else:
             raise ValueError(f"unknown format {fmt!r}")
         with open(destination, "w", encoding="ascii") as fh:
@@ -259,18 +260,34 @@ def export_grid(grid, fmt, destination):
 
 
 def load_grid(path):
-    """Read back a grid written by export_grid (format sniffed from content)."""
+    """Read back a grid written by export_grid (format sniffed from content).
+
+    Every field is converted in one numpy conversion, and the (re, im)
+    columns are viewed as complex, so signed zeros come back as written.
+    """
     with open(path, encoding="ascii") as fh:
         text = fh.read()
     if text.startswith("{"):
         doc = json.loads(text)
         spec = GridSpec(**doc["spec"])
-        flat = np.array([complex(re, im) for re, im in doc["values"]])
-        return PhaseGrid(spec, flat.reshape(spec.nq, spec.np))
-    lines = [ln for ln in text.splitlines() if ln]
-    rows = [ln.split(",") for ln in lines[1:]]
-    qs = sorted({float(r[0]) for r in rows})
-    ps = sorted({float(r[1]) for r in rows})
-    spec = GridSpec(qs[0], qs[-1], ps[0], ps[-1], len(qs), len(ps))
-    values = np.array([complex(float(r[2]), float(r[3])) for r in rows])
-    return PhaseGrid(spec, values.reshape(spec.nq, spec.np))
+        pairs = np.array(doc["values"], dtype=np.float64)
+        if pairs.shape != (spec.nq * spec.np, 2):
+            raise ValueError(f"{path}: {len(pairs)} values do not fill the "
+                             f"{spec.nq}x{spec.np} lattice")
+    else:
+        fields = np.array(text.partition("\n")[2].replace(",", " ").split(),
+                          dtype=np.float64)
+        if not fields.size or fields.size % 4:
+            raise ValueError(f"{path}: expected rows of the 4 fields "
+                             "q,p,re,im")
+        fields = fields.reshape(-1, 4)
+        qs, ps = np.unique(fields[:, 0]), np.unique(fields[:, 1])
+        if not (np.array_equal(fields[:, 0], np.repeat(qs, len(ps)))
+                and np.array_equal(fields[:, 1], np.tile(ps, len(qs)))):
+            raise ValueError(f"{path}: rows do not fill the "
+                             f"{len(qs)}x{len(ps)} lattice in q-major order")
+        spec = GridSpec(float(qs[0]), float(qs[-1]), float(ps[0]),
+                        float(ps[-1]), len(qs), len(ps))
+        pairs = np.ascontiguousarray(fields[:, 2:])
+    return PhaseGrid(spec, pairs.view(np.complex128).reshape(spec.nq,
+                                                             spec.np))

@@ -273,10 +273,29 @@ def pointwise_multiply(f, g):
 
 
 def pointwise_power(f, n):
-    out = ONE
+    """f^n as the repeated pointwise product, with one normalize for a term.
+
+    A single term's coefficient is multiplied and its exponent added in the
+    repeated product's order.  No nonzero part depends on the sign of a
+    zero part, and the final normalize makes zero signs canonical as every
+    step of the repeated product does, so the result is the same bits.
+    """
+    if n < 0:
+        raise ValueError("powers must be non-negative")
+    if len(f.terms) != 1:
+        out = ONE
+        for _ in range(n):
+            out = pointwise_multiply(out, f)
+        return out
+    t = f.terms[0]
+    c, expo, fold = 1 + 0j, ZERO_EXPO, not t.expo.is_zero()
     for _ in range(n):
-        out = pointwise_multiply(out, f)
-    return out
+        c *= t.coeff
+        if fold:
+            expo = expo + t.expo
+        if c == 0:  # the repeated product prunes the term here
+            break
+    return normalize([Term(c, t.pow_p * n, t.pow_q * n, expo)])
 
 
 def _diff_term_once(t, var):

@@ -297,6 +297,73 @@ def test_export_two_by_two_zero_grid(tmp_path):
     assert len(lines) == 5
 
 
+def _per_element_exports(grid):
+    """CSV and JSON text written one element at a time."""
+    s = grid.spec
+
+    def f17(x):
+        return format(float(x), ".17g")
+
+    lines = ["q,p,re,im"]
+    for q, row in zip(s.q_values(), grid.values):
+        for p, v in zip(s.p_values(), row):
+            lines.append(f"{f17(q)},{f17(p)},{f17(v.real)},{f17(v.imag)}")
+    doc = {"spec": {"q_min": s.q_min, "q_max": s.q_max, "p_min": s.p_min,
+                    "p_max": s.p_max, "nq": s.nq, "np": s.np},
+           "values": [[float(v.real), float(v.imag)]
+                      for row in grid.values for v in row]}
+    return {"csv": "\n".join(lines) + "\n",
+            "json": json.dumps(doc, separators=(",", ":")) + "\n"}
+
+
+def test_export_bytes_match_the_per_element_formulas(tmp_path):
+    spec = sym.GridSpec(-1.7, 2.3, -3.1, 0.9, 17, 23)
+    rng = np.random.default_rng(13)
+    values = rng.normal(size=(17, 23)) + 1j * rng.normal(size=(17, 23))
+    values[0, :4] = [complex(-0.0, 0.0), complex(0.0, -0.0),
+                     complex(5e-324, -1e-320), complex(1e300, -1e300)]
+    values[1, :3] = [3.0, complex(-7.0, 2.0), complex(-0.0, -0.0)]
+    grid = numerics.PhaseGrid(spec, values)
+    for fmt, text in _per_element_exports(grid).items():
+        path = tmp_path / f"grid.{fmt}"
+        numerics.export_grid(grid, fmt, path)
+        assert path.read_bytes() == text.encode("ascii")
+        back = numerics.load_grid(path)
+        assert back.spec == spec
+        for got, want in ((back.values.real, values.real),
+                          (back.values.imag, values.imag)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_load_grid_csv_names_the_file_on_a_bad_lattice(tmp_path):
+    grid = numerics.sample(sym.ONE, sym.GridSpec(0.0, 1.0, 0.0, 2.0, 3, 4))
+    path = tmp_path / "bad.csv"
+    numerics.export_grid(grid, "csv", path)
+    lines = path.read_text().splitlines()
+    for bad in (lines[:-1],  # one node short
+                lines[:1] + lines[2:3] + lines[1:2] + lines[3:]):  # swapped
+        path.write_text("\n".join(bad) + "\n")
+        with pytest.raises(ValueError, match="bad.csv: rows do not fill the "
+                                             "3x4 lattice in q-major order"):
+            numerics.load_grid(path)
+    for bad in (lines[:-1] + ["2,2,1"], lines[:1]):
+        path.write_text("\n".join(bad) + "\n")
+        with pytest.raises(ValueError, match="bad.csv: expected rows of"):
+            numerics.load_grid(path)
+
+
+def test_load_grid_json_names_the_file_on_a_bad_lattice(tmp_path):
+    grid = numerics.sample(sym.ONE, sym.GridSpec(0.0, 1.0, 0.0, 2.0, 3, 4))
+    path = tmp_path / "bad.json"
+    numerics.export_grid(grid, "json", path)
+    doc = json.loads(path.read_text())
+    doc["values"].append([1.0, 0.0])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="bad.json: 13 values do not fill"):
+        numerics.load_grid(path)
+
+
 def _grouped_symbol():
     """Three exponent groups (one of them zero) with gaps in the powers."""
     e1 = sym.QuadExponent(app=-0.5 + 0.1j, aqq=-0.4, apq=0.1, bp=0.2j,

@@ -4,6 +4,7 @@ import pytest
 import starkit as sk
 from starkit import symbols as sym
 from starkit.errors import ExponentOverflowError, NonFiniteError
+from starkit.expr import parse
 
 from conftest import random_symbol
 
@@ -95,6 +96,24 @@ def test_pointwise_multiply():
     one_minus = sym.poly_symbol({(0, 0): 1.0, (0, 1): -1.0})
     assert sym.residual(sym.pointwise_multiply(one_plus, one_minus),
                         sym.poly_symbol({(0, 0): 1.0, (0, 2): -1.0})) == 0
+
+
+@pytest.mark.parametrize("text", ["p", "q", "-2.5*q", "(0.3 - 1.1*i)*p*q",
+                                  "2*exp(-p^2 - 0.5*q*p)", "0"])
+def test_pointwise_power_is_the_repeated_product(text):
+    f = parse(text)
+    for n in (0, 1, 2, 7, 40):
+        folded = sym.ONE
+        for _ in range(n):
+            folded = sym.pointwise_multiply(folded, f)
+        assert sym.pointwise_power(f, n).terms == folded.terms
+
+
+def test_pointwise_power_rejects_overflow_and_negative_powers():
+    with pytest.raises(NonFiniteError):
+        parse("(1e200*p)^2")
+    with pytest.raises(ValueError):
+        sym.pointwise_power(sym.variable("p"), -1)
 
 
 def test_differentiate_polynomials():
