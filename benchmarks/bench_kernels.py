@@ -7,11 +7,12 @@
   on 401x401 (2.6 MB per state, outside an L2 share), also reported in
   ns per node-step: a real state (one real plane) and a complex one (two).
 - `transition.apply` on the Wigner state n = 12 (damped gamma = 0.2 and
-  husimi s = 1) and `dynamics.pullback` of the same state along the damped
-  flow at t = 1.
+  husimi s = 1) and on a two-group class member (damped gamma = 0.2), and
+  `dynamics.pullback` of the Wigner state along the damped flow at t = 1.
 - `star_product` on a damped (gamma = 0.1) pair of pure Gaussians and on
-  H star rho_6 (the series path), and on the moyal rho_3 star rho_3
-  (the group formula in doubled phase space).
+  H star rho_6 (the series path), on the moyal rho_3 star rho_3 (the
+  group formula in doubled phase space), and on a pair of two-group
+  Gaussian sums under each of the four products (four group pairs).
 - `normalize` on the terms of the Wigner state n = 24 repeated three
   times (975 raw terms, one exponent), and `parse` of its printed form.
 - `export_grid` (CSV and JSON) and `load_grid` on `WIDE_SPEC` of the
@@ -85,14 +86,33 @@ def bench_rk4(steps=100, dt=1e-3):
                   f"(median)")
 
 
+def two_group_member():
+    """rho_4 plus a polynomial times a displaced, correlated Gaussian."""
+    poly = sym.poly_symbol({(1, 1): 0.5, (2, 0): -0.3j, (0, 3): 0.2})
+    bump = sym.gaussian(1.0, app=-0.6, aqq=-0.4, apq=0.1, bp=0.2)
+    return sym.combine(sk.sho_wigner_eigenstate(4), 1.0,
+                       sym.pointwise_multiply(poly, bump), 1.0)
+
+
+def gaussian_sum(a, b):
+    """Sum of two pure Gaussians with different exponents."""
+    return sym.combine(sym.gaussian(1.0, app=-a, aqq=-b, bq=0.1), 1.0,
+                       sym.gaussian(0.5j, app=-b, aqq=-a, apq=0.1), 1.0)
+
+
 def bench_maps(n=12):
     state = sk.sho_wigner_eigenstate(n)
     params = sym.Params(gamma=0.2)
+    damped = transition.damped_transition(0.2)
     print(f"symbolic maps: Wigner n={n}, {len(state.terms)} terms")
-    for label, op in (("apply damped(0.2)", transition.damped_transition(0.2)),
+    for label, op in (("apply damped(0.2)", damped),
                       ("apply husimi(1.0)", transition.husimi_transition(1.0))):
         med, best, _ = timeit(lambda: transition.apply(op, state), 7)
         report(label, med, best)
+    member = two_group_member()
+    med, best, _ = timeit(lambda: transition.apply(damped, member), 7)
+    report(f"apply damped(0.2), two-group member ({len(member.terms)} terms)",
+           med, best)
     flow = dynamics.flow_map(1.0, params)
     med, best, _ = timeit(lambda: dynamics.pullback(state, flow), 7)
     report("pullback t=1", med, best)
@@ -106,10 +126,18 @@ def bench_products():
     H = sk.hamiltonian()
     rho3 = sk.sho_wigner_eigenstate(3)
     rho6 = sk.sho_wigner_eigenstate(6)
+    f2, g2 = gaussian_sum(0.5, 0.4), gaussian_sum(0.3, 0.6)
     print("star_product")
-    for label, args in (("damped(0.1), Gaussian pair", (f, g, damped)),
-                        ("damped(0.1), H * rho_6", (H, rho6, damped)),
-                        ("moyal, rho_3 * rho_3", (rho3, rho3, moyal))):
+    for label, args in (
+            ("damped(0.1), Gaussian pair", (f, g, damped)),
+            ("damped(0.1), H * rho_6", (H, rho6, damped)),
+            ("moyal, rho_3 * rho_3", (rho3, rho3, moyal)),
+            ("moyal, two-group Gaussian sums", (f2, g2, moyal)),
+            ("damped(0.1), two-group Gaussian sums", (f2, g2, damped)),
+            ("standard, two-group Gaussian sums",
+             (f2, g2, sk.standard_star())),
+            ("husimi(1.0), two-group Gaussian sums",
+             (f2, g2, sk.husimi_star(1.0)))):
         med, best, _ = timeit(lambda: sk.star_product(*args), 7)
         report(label, med, best)
 

@@ -142,7 +142,7 @@ def _evolution(doc, params, spec):
     def rk4_states(times):
         # the largest ratio over the steps taken bounds every CFLWarning
         ends = [t for t in times if t > 0.0]
-        h = max((numerics.rk4_schedule(b - a, dt)[1]
+        h = max((numerics.step_schedule(b - a, dt)[1]
                  for a, b in zip([0.0] + ends, ends) if b > a), default=dt)
         print(f"cfl_ratio={numerics.cfl_ratio(spec, params, h):.6e}")
         grid, prev_t = numerics.sample(initial, spec), 0.0

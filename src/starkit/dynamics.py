@@ -19,6 +19,7 @@ import numpy as np
 
 from . import symbols as sym
 from .errors import PositivityError
+from .numerics import step_schedule
 from .oscillator import energy, hamiltonian, sho_offdiagonal
 from .star import damped_ad, damped_star, star_commutator
 from .symbols import Params
@@ -107,10 +108,9 @@ def euler_evolve(rho0, rhs, t, dt):
     """Explicit Euler stepping of a symbol-level right-hand side.
 
     Used to exhibit the reality defect of the naive equation; not an
-    accurate integrator.
+    accurate integrator.  Steps follow step_schedule, as in rk4_evolve.
     """
-    steps = max(1, round(t / dt))
-    h = t / steps
+    steps, h = step_schedule(t, dt)
     rho = rho0
     for _ in range(steps):
         rho = sym.combine(rho, 1.0, rhs(rho), h)

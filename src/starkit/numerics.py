@@ -166,8 +166,9 @@ def _advection(spec, params, kind, planes):
     return rhs
 
 
-def rk4_schedule(t, dt):
-    """(steps, h) of rk4_evolve over t: h = t / round(t/dt), up to 1.5 dt."""
+def step_schedule(t, dt):
+    """(steps, h) of a fixed-step run over t: h = t / round(t/dt), up to
+    1.5 dt; used by rk4_evolve and dynamics.euler_evolve."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     steps = max(1, round(t / dt))
@@ -195,7 +196,7 @@ def rk4_evolve(g0, kind, t, dt, params=Params()):
     NonFiniteError naming its CFL ratio.
     """
     spec = g0.spec
-    steps, h = rk4_schedule(t, dt)
+    steps, h = step_schedule(t, dt)
     ratio = cfl_ratio(spec, params, h, kind)  # judged at h, not dt
     if ratio > 0.5:
         warnings.warn(f"step h = {h:.3g}: h * vmax / dx = {ratio:.3g} "

@@ -146,13 +146,17 @@ def damped_propagator(t, params=Params()):
 
     The square root (rather than a first power) on the bracket is forced
     by the transition-operator route and by the truncated star-exponential
-    oracle; see tests.
+    oracle; see tests.  t may be complex at gamma = 0, where the bracket
+    is 1; a complex t at gamma > 0 raises ValueError, as the branch of
+    that square root off the real axis is not fixed.
     """
     w, m, h, g = params.omega, params.m, params.hbar, params.gamma
-    c = math.cos(0.5 * w * t)
+    if g and complex(t).imag:
+        raise ValueError("complex time needs gamma = 0")
+    c = cmath.cos(0.5 * w * t)
     if abs(c) < TIME_SINGULARITY_TOL:
         raise SingularTimeError(f"cos(omega t / 2) vanishes near t = {t:g}")
-    tn = math.tan(0.5 * w * t)
+    tn = cmath.tan(0.5 * w * t)
     bracket = 1.0 + 2.0 * g * tn / w
     if abs(bracket) < TIME_SINGULARITY_TOL:
         raise SingularTimeError(

@@ -13,6 +13,8 @@ Products are exact on the whole class.  With a pure-polynomial side the
 series terminates at its degree.  Otherwise, in the doubled space (y, z),
 exp(dL^T B dR) is exp((1/2) grad^T S grad) with S = [[0, B], [B^T, 0]]
 followed by y = z = x, and _group_image applies it per pair of groups.
+_group_image is the one Gaussian-group kernel: transition.apply calls it
+with d = 2, and it alone forms, guards and inverts K = I - 2 S M.
 """
 
 import cmath
@@ -142,24 +144,23 @@ def _sqrt_prefactor(det):
     return 1.0 / np.sqrt(det)
 
 
-def _adjugate(K):
-    """(adjugate, determinant) of a 2x2 matrix; K^{-1} = adjugate / det."""
-    det = complex(K[0, 0] * K[1, 1] - K[0, 1] * K[1, 0])
-    return np.array([[K[1, 1], -K[0, 1]], [-K[1, 0], K[0, 0]]]), det
-
-
-def _group_image(P, M, beta, S, Kinv, E, coeff):
+def _group_image(P, M, beta, S, E):
     """Terms of exp((1/2) grad^T S grad) on one exponent group, at y = E x.
 
     The group is P(y) exp(y^T M y + beta^T y) in d = len(S) variables, P a
     {powers: coeff} polynomial, E the d x 2 restriction to x = (q, p).
     With K = I - 2 S M and R = K^{-1} S, averaging over Gaussian shifts of
-    covariance S gives, with coeff = det(K)^(-1/2),
+    covariance S gives
 
-        coeff e^{(1/2) beta^T R beta}
+        det(K)^(-1/2) e^{(1/2) beta^T R beta}
             * exp(x^T E^T M K^{-1} E x + (E^T K^{-T} beta)^T x)
             * [exp((1/2) grad^T R grad) P](K^{-1} E x + R beta).
+
+    det K passes the _sqrt_prefactor guards before K is inverted.
     """
+    K = np.eye(len(S)) - 2.0 * S @ M
+    coeff = _sqrt_prefactor(complex(np.linalg.det(K)))
+    Kinv = np.linalg.inv(K)
     R = Kinv @ S
     R = 0.5 * (R + R.T)  # symmetric analytically; enforce numerically
     L = Kinv @ E
@@ -173,9 +174,7 @@ def star_product(f, g, star):
     """Exact star product of two class members.
 
     A polynomial operand gives a series that ends at its degree.  Otherwise
-    each pair of groups has K = I - 2 S diag(A1, A2) = [[I, -U], [-V, I]],
-    U = 2 B A2, V = 2 B^T A1; with Sigma = (I - U V)^{-1}, det K =
-    det(I - U V) and K^{-1} = [[Sigma, Sigma U], [V Sigma, I + V Sigma U]].
+    each pair of groups goes through _group_image in the doubled space.
     """
     if f.is_zero() or g.is_zero():
         return sym.ZERO
@@ -184,25 +183,17 @@ def star_product(f, g, star):
     if degrees:
         return _series_star(f, g, B, min(degrees))
     zero = np.zeros((2, 2))
-    eye = np.eye(2)
     S = np.block([[zero, B], [B.T, zero]])
-    E = np.vstack([eye, eye])
+    E = np.vstack([np.eye(2)] * 2)
     right = [(e.quad_form(), P) for e, P in sym.exponent_groups(g).items()]
     raw = []
     for e1, P1 in sym.exponent_groups(f).items():
         A1, b1 = e1.quad_form()
-        V = 2.0 * B.T @ A1
         for (A2, b2), P2 in right:
-            U = 2.0 * B @ A2
-            adj, det = _adjugate(eye - U @ V)
-            pref = _sqrt_prefactor(det)
-            sigma = adj / det
-            Kinv = np.block([[sigma, sigma @ U],
-                             [V @ sigma, eye + V @ sigma @ U]])
-            P = {(s.pow_q, s.pow_p, t.pow_q, t.pow_p): s.coeff * t.coeff
-                 for s in P1.terms for t in P2.terms}
+            P = {k1 + k2: c1 * c2 for k1, c1 in P1.items()
+                 for k2, c2 in P2.items()}
             raw += _group_image(P, np.block([[A1, zero], [zero, A2]]),
-                                np.concatenate([b1, b2]), S, Kinv, E, pref)
+                                np.concatenate([b1, b2]), S, E)
     return sym.normalize(raw)
 
 

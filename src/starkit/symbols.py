@@ -345,15 +345,15 @@ def conjugate(f):
 
 
 def exponent_groups(f):
-    """{exponent: polynomial factor}, in the order exponents first appear.
+    """{exponent: {(pow_q, pow_p): coeff}}, in the order exponents first
+    appear, each polynomial in canonical term order.
 
     f is the sum over the groups of polynomial * exp(exponent).
     """
     groups = {}
     for t in f.terms:
-        groups.setdefault(t.expo, []).append(Term(t.coeff, t.pow_p, t.pow_q))
-    # a sub-list of a canonical term list is canonical
-    return {e: Symbol(tuple(ts)) for e, ts in groups.items()}
+        groups.setdefault(t.expo, {})[t.pow_q, t.pow_p] = t.coeff
+    return groups
 
 
 def _poly_mul(a, b):
@@ -439,8 +439,7 @@ def substitute(f, L, shift=(0, 0)):
         A, b = e.quad_form()
         expo = QuadExponent.from_quad_form(L.T @ A @ L, L.T @ (2 * A @ s + b))
         c0 = cmath.exp(s @ A @ s + b @ s)
-        image = affine_image({(t.pow_q, t.pow_p): t.coeff for t in poly.terms},
-                             L, s)
+        image = affine_image(poly, L, s)
         raw.extend(Term(c0 * c, pp, pq, expo) for (pq, pp), c in image.items())
     return normalize(raw)
 
@@ -463,11 +462,10 @@ def evaluate(f, p, q):
 def _poly_rows(poly, part):
     """{pow_p: {pow_q: c}} of the real or imaginary parts of a polynomial."""
     rows = {}
-    for t in poly.terms:
-        c = getattr(t.coeff, part)
+    for (pow_q, pow_p), c in poly.items():
+        c = getattr(c, part)
         if c:
-            row = rows.setdefault(t.pow_p, {})
-            row[t.pow_q] = row.get(t.pow_q, 0.0) + c
+            rows.setdefault(pow_p, {})[pow_q] = c
     return rows
 
 

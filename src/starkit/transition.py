@@ -9,10 +9,12 @@ instances:
                                              maps moyal products to husimi ones
 
 The action on the symbol class is exact, one exponent group
-P(q, p) exp(x^T A x + beta^T x), x = (q, p), at a time: star._group_image
-with d = 2, S = C and E = I, that is, with K = I - 2CA and R = K^{-1} C,
-a terminating Taylor series in R on P composed with the affine map
-x -> K^{-1} x + R beta.  A pure-polynomial group has K = I and R = C.
+P(q, p) exp(x^T A x + beta^T x), x = (q, p), at a time: P comes from
+symbols.exponent_groups as a {(pow_q, pow_p): coeff} dict and goes to
+star._group_image with d = 2, S = C and E = I.  That kernel forms and
+guards K = I - 2CA and applies, with R = K^{-1} C, a terminating Taylor
+series in R on P composed with the affine map x -> K^{-1} x + R beta.
+A pure-polynomial group has K = I and R = C.
 """
 
 from dataclasses import dataclass
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import symbols as sym
 from .errors import NonTerminatingError
-from .star import _adjugate, _group_image, _sqrt_prefactor, star_product
+from .star import _group_image, star_product
 from .symbols import Params
 
 
@@ -65,12 +67,9 @@ def apply(op, f):
     C = op.matrix()
     eye = np.eye(2)
     raw = []
-    for e, poly in sym.exponent_groups(f).items():
+    for e, P in sym.exponent_groups(f).items():
         A, beta = e.quad_form()
-        adj, det = _adjugate(eye - 2.0 * C @ A)
-        pref = _sqrt_prefactor(det)
-        P = {(t.pow_q, t.pow_p): t.coeff for t in poly.terms}
-        raw += _group_image(P, A, beta, C, adj / det, eye, pref)
+        raw += _group_image(P, A, beta, C, eye)
     return sym.normalize(raw)
 
 

@@ -297,14 +297,6 @@ def check_heisenberg_weyl(n_draws=20, seed=20240813):
         worst, 1e-10)]
 
 
-def _complex_time_propagator_values(t, P, Q, params):
-    """Closed-form U continued to complex time, on grid values."""
-    w, m, h = params.omega, params.m, params.hbar
-    tau = 2.0 * cmath.tan(0.5 * w * t) / (1j * h * w)
-    Hv = P * P / (2.0 * m) + 0.5 * m * w * w * Q * Q
-    return np.exp(tau * Hv) / cmath.cos(0.5 * w * t)
-
-
 def spectral_partial_sums(n_max, t, P, Q, params):
     """Partial sums S_N = sum_{n<=N} rho_n e^{-i E_n t/hbar}, N = 0..n_max.
 
@@ -358,7 +350,7 @@ def check_spectral():
     n_full = spectral_truncation_order(tol, t, params)
     start = time.perf_counter()
     sums = spectral_partial_sums(max(n_full, n_short), t, P, Q, params)
-    uv = _complex_time_propagator_values(t, P, Q, params)
+    uv = sym.evaluate_grid(oscillator.undamped_propagator(t, params), P, Q)
     elapsed = time.perf_counter() - start
     short_miss = uv - sums[n_short]
     tail = _origin_tail(n_short, t, params)

@@ -203,6 +203,13 @@ def test_euler_naive_defect_grows():
     assert defects[0] < defects[1] < defects[2]
 
 
+def test_euler_rejects_bad_step():
+    rho0 = sk.sho_wigner_eigenstate(0)
+    for dt in (0.0, -0.05):
+        with pytest.raises(ValueError):
+            dynamics.euler_evolve(rho0, dynamics.naive_rhs, 0.2, dt)
+
+
 def test_eigenexpansion_diagonal_is_stationary():
     par = sym.Params()
     coeffs = {(2, 2): 0.7 + 0j}

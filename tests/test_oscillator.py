@@ -196,6 +196,24 @@ def test_damped_propagator_dynamical_equation():
     assert np.abs(1j * dU - rhs).max() <= 1e-7
 
 
+def test_undamped_propagator_at_complex_time():
+    par = sym.Params()
+    P, Q = sym.SAMPLE_SPEC.meshes()
+    for t in (0.3 - 0.2j, 1.1 - 0.5j, -0.7 + 0.4j):
+        # sec(wt/2) exp(2 H tan(wt/2) / (i hbar w)) on the nodes
+        tau = 2.0 * cmath.tan(0.5 * t) / 1j
+        ref = np.exp(tau * (0.5 * P * P + 0.5 * Q * Q)) / cmath.cos(0.5 * t)
+        got = sym.evaluate_grid(sk.undamped_propagator(t, par), P, Q)
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+    with pytest.raises(SingularTimeError):
+        sk.undamped_propagator(math.pi + 1e-10j, par)
+
+
+def test_damped_propagator_rejects_complex_time():
+    with pytest.raises(ValueError):
+        sk.damped_propagator(0.3 - 0.2j, sym.Params(gamma=0.1))
+
+
 def test_damped_propagator_series_oracle():
     par = sym.Params(gamma=0.1)
     H = sk.hamiltonian(par)

@@ -240,10 +240,10 @@ def test_exponent_groups_partition_the_terms(rng):
                     sym.poly_symbol({(2, 1): 0.5, (0, 0): -1j}), 1.0)
     groups = sym.exponent_groups(f)
     assert sym.ZERO_EXPO in groups
-    assert all(poly.is_polynomial() for poly in groups.values())
-    rebuilt = sym.normalize([sym.Term(t.coeff, t.pow_p, t.pow_q, e)
+    assert sum(map(len, groups.values())) == len(f.terms)
+    rebuilt = sym.normalize([sym.Term(c, pow_p, pow_q, e)
                              for e, poly in groups.items()
-                             for t in poly.terms])
+                             for (pow_q, pow_p), c in poly.items()])
     assert rebuilt == f
 
 

@@ -6,7 +6,8 @@ import pytest
 import starkit as sk
 from starkit import symbols as sym
 from starkit import star, transition
-from starkit.errors import NonTerminatingError, SingularGaussianError
+from starkit.errors import (BranchAmbiguityError, NonTerminatingError,
+                            SingularGaussianError)
 
 from conftest import random_polynomial, random_symbol
 
@@ -163,8 +164,8 @@ def test_apply_solves_once_per_exponent_group(monkeypatch):
         calls.append(det)
         return sqrt_prefactor(det)
 
-    sqrt_prefactor = transition._sqrt_prefactor
-    monkeypatch.setattr(transition, "_sqrt_prefactor", counting)
+    sqrt_prefactor = star._sqrt_prefactor
+    monkeypatch.setattr(star, "_sqrt_prefactor", counting)
     transition.apply(transition.damped_transition(0.2), rho)
     assert len(calls) == 1
 
@@ -260,3 +261,10 @@ def test_apply_singular_gaussian_guard():
     bad = sym.gaussian(1.0, app=5j)  # makes det(I - 2CA) vanish
     with pytest.raises(SingularGaussianError):
         transition.apply(op, bad)
+
+
+def test_apply_branch_ambiguity_guard():
+    # K = I - 2CA = diag(-1, 1): det K = -1 leaves the right half-plane
+    op = transition.husimi_transition(1.0)
+    with pytest.raises(BranchAmbiguityError):
+        transition.apply(op, sym.gaussian(1.0, aqq=2.0))
