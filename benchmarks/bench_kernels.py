@@ -6,6 +6,10 @@
 - 100 RK4 steps of the damped advection oracle on the same lattice and
   on 401x401 (2.6 MB per state, outside an L2 share), also reported in
   ns per node-step: a real state (one real plane) and a complex one (two).
+- Ops shaped like those of the `perfbench` `rk4` workload: `sample` of a
+  Gaussian plus 20 damped steps at dt = 1e-3 on 201x201 and 401x401 and
+  50 steps on 201x201 (one plane), and 20 `naive` steps on 201x201 (two
+  planes).
 - `transition.apply` on the Wigner state n = 12 (damped gamma = 0.2 and
   husimi s = 1) and on a two-group class member (damped gamma = 0.2), and
   `dynamics.pullback` of the Wigner state along the damped flow at t = 1.
@@ -84,6 +88,22 @@ def bench_rk4(steps=100, dt=1e-3):
             report(label, med, best)
             print(f"    {med / (steps * n * n) * 1e9:.2f} ns per node-step "
                   f"(median)")
+
+
+def bench_rk4_ops(dt=1e-3):
+    params = sym.Params(gamma=0.2)
+    state = sym.gaussian(1.0, app=-0.8, aqq=-0.9, apq=0.05, bp=0.2, bq=-0.1)
+    print("sample + rk4_evolve, shaped like the perfbench rk4 ops")
+    for n, steps, kind in ((201, 20, "damped"), (201, 50, "damped"),
+                           (401, 20, "damped"), (201, 20, "naive")):
+        spec = sym.GridSpec(-6.0, 6.0, -6.0, 6.0, n, n)
+
+        def op():
+            return numerics.rk4_evolve(numerics.sample(state, spec), kind,
+                                       steps * dt, dt, params)
+        op()  # warm-up outside timing
+        med, best, _ = timeit(op, 7)
+        report(f"{n}x{n}, {steps} {kind} steps", med, best)
 
 
 def two_group_member():
@@ -178,6 +198,7 @@ def bench_grid_io():
 if __name__ == "__main__":
     bench_eval()
     bench_rk4()
+    bench_rk4_ops()
     bench_maps()
     bench_products()
     bench_algebra()

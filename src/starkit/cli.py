@@ -135,19 +135,23 @@ def _evolution(doc, params, spec):
     if dt <= 0:
         raise ValueError("dt must be positive")
     if kind == "naive":
-        return lambda times: (dynamics.euler_evolve(
-            initial, lambda r: dynamics.naive_rhs(r, params), t, dt)
-            if t > 0 else initial for t in times)
+        def naive_states(times):
+            if any(t < 0 for t in times):
+                raise ValueError("naive evolution steps forward only; "
+                                 "times must be >= 0")
+            return (dynamics.euler_evolve(
+                initial, lambda r: dynamics.naive_rhs(r, params), t, dt)
+                if t > 0 else initial for t in times)
+        return naive_states
 
     def rk4_states(times):
-        # the largest ratio over the steps taken bounds every CFLWarning
-        ends = [t for t in times if t > 0.0]
-        h = max((numerics.step_schedule(b - a, dt)[1]
-                 for a, b in zip([0.0] + ends, ends) if b > a), default=dt)
+        # the largest |h| over the intervals stepped bounds every CFLWarning
+        h = max((abs(numerics.step_schedule(b - a, dt)[1])
+                 for a, b in zip([0.0] + times, times) if b != a), default=dt)
         print(f"cfl_ratio={numerics.cfl_ratio(spec, params, h):.6e}")
         grid, prev_t = numerics.sample(initial, spec), 0.0
         for t in times:
-            if t > prev_t:
+            if t != prev_t:
                 grid = numerics.rk4_evolve(grid, "damped", t - prev_t, dt,
                                            params)
                 prev_t = t

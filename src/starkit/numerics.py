@@ -23,6 +23,12 @@ from .symbols import GridSpec, Params
 # below 1e-8 outside it.
 WIDE_SPEC = GridSpec(-6.0, 6.0, -6.0, 6.0, 201, 201)
 
+# About this many doubles per array in one row strip of an RK4 stage (the
+# strips are of equal height), so that a strip's five arrays (v, u, out, a
+# temporary and the c_p plane) fit a 2 MB L2 share: 201^2 is one strip of
+# one plane, 401^2 five.
+_STRIP_NODES = 1 << 15
+
 
 @dataclass(frozen=True)
 class PhaseGrid:
@@ -128,97 +134,140 @@ def cfl_ratio(spec, params, dt, kind="damped"):
     return dt * vmax / min(_steps(spec))
 
 
-def _advection(spec, params, kind, planes):
-    """rhs(u, out) of rk4_evolve on (planes, nq*np); 0 on the outer ring."""
-    nq, n_p, n = spec.nq, spec.np, spec.nq * spec.np
+def _advection(spec, params, kind, planes, h):
+    """stage(u, v, out, k): out = u + (h/k) L v on (planes, nq*np) states.
+
+    L is the advection operator of rk4_evolve; the outer ring of out is left
+    as u's (rows are never written, columns are copied back).  Rows run in
+    strips of about _STRIP_NODES doubles; the one-sided edge rows and
+    columns are formed once per stage on the whole plane, so the result
+    does not depend on the strip height.
+    """
+    nq, n_p = spec.nq, spec.np
     dq, dp = _steps(spec)
     vq, vp = _advection_fields(spec, params, kind)
-    inner = np.pad(np.ones((nq - 2, n_p - 2)), 1)  # 0 freezes the ring
-    cq, cp = ((w * inner).ravel()
-              for w in (-vq / (12.0 * dq), -vp / (12.0 * dp)))
-    cx = (params.gamma * params.hbar / (144.0 * dq * dp) * inner.ravel()
+    cq = -vq[0] / (12.0 * dq)  # v_q = p/m: one (np,) row
+    cp = (-vp / (12.0 * dp)).ravel()
+    cx = (params.gamma * params.hbar / (144.0 * dq * dp)
           * np.array([[1.0], [-1.0]]) if kind == "naive" else None)
-    du_q, du_p = np.zeros((planes, n)), np.zeros((planes, n))
-    edge = np.array([-3.0, -10.0, 18.0, -6.0, 1.0])  # one-sided, at u[1]
+    scaled = {k: (h / k * cq, h / k * cp, None if cx is None else h / k * cx)
+              for k in (1, 2, 3, 4)}
+    strips = max(1, round(planes * (nq - 2) * n_p / _STRIP_NODES))
+    rows = -(-(nq - 2) // strips)  # strips of equal height, the last shorter
+    tmp = np.zeros((planes, rows * n_p))
+    ep, ex = np.zeros((planes, nq, 2)), np.zeros((planes, nq, 2))
+    edge = np.array([-3.0, -10.0, 18.0, -6.0, 1.0])  # one-sided, at x[1]
+    redge = -edge  # the same at x[-2], over x[-1], x[-2], ...
 
-    def fd4(u, out, s, axis):  # 12h d/dx: one flat pass, one-sided edges
-        o = out[:, 2 * s:n - 2 * s]
-        np.subtract(u[:, 3 * s:n - s], u[:, s:n - 3 * s], out=o)
-        o *= 8.0
-        o += u[:, :n - 4 * s]
-        o -= u[:, 4 * s:]
-        ue, oe = (a.reshape(planes, nq, n_p).swapaxes(1, axis)
-                  for a in (u, out))
-        oe[:, 1] = edge @ ue[:, :5]
-        oe[:, -2] = -edge @ ue[:, :-6:-1]
+    def ends(x, axis, lo, hi):  # 12h d/dx at indices 1 and -2 of axis 1, 2
+        xe = x.swapaxes(1, axis)
+        np.matmul(edge, xe[:, :5], out=lo)
+        np.matmul(redge, xe[:, :-6:-1], out=hi)
 
-    def rhs(u, out):
-        fd4(u, du_q, n_p, 1)
-        fd4(u, du_p, 1, 2)
-        np.multiply(du_q, cq, out=out)
-        np.multiply(du_p, cp, out=du_p)
-        out += du_p
-        if cx is not None:  # i gamma hbar d_p d_q u; i (a + ib) = -b + ia
-            fd4(du_q, du_p, 1, 2)
-            np.multiply(du_p, cx, out=du_p)
-            out += du_p[::-1]
+    def fd4(x, out, s, lo, hi):  # 12h d/dx at flat lo:hi, offsets +-s
+        np.subtract(x[:, lo + s:hi + s], x[:, lo - s:hi - s], out=out)
+        out *= 8.0
+        out += x[:, lo - 2 * s:hi - 2 * s]
+        out -= x[:, lo + 2 * s:hi + 2 * s]
 
-    return rhs
+    def stage(u, v, out, k):
+        c_q, c_p, c_x = scaled[k]
+        u3, v3, out3 = (a.reshape(planes, nq, n_p) for a in (u, v, out))
+        ends(v3, 1, out3[:, 1], out3[:, -2])
+        ends(v3, 2, ep[:, :, 0], ep[:, :, 1])  # (planes, nq, 2)
+        if c_x is not None:  # d_q of the p-edge columns: d_p d_q there
+            ex[:, 2:-2] = 8.0 * (ep[:, 3:-1] - ep[:, 1:-3]) + ep[:, :-4]
+            ex[:, 2:-2] -= ep[:, 4:]
+            ends(ep, 1, ex[:, 1], ex[:, -2])
+        for r0 in range(1, nq - 1, rows):
+            r1 = min(r0 + rows, nq - 1)
+            lo, hi = r0 * n_p, r1 * n_p
+            a, b = max(r0, 2) * n_p, min(r1, nq - 2) * n_p
+            if a < b:
+                fd4(v, out[:, a:b], n_p, a, b)
+            o, o3 = out[:, lo:hi], out3[:, r0:r1]
+            t = tmp[:, :hi - lo]
+            t3 = t.reshape(planes, -1, n_p)
+            if c_x is not None:  # i gamma hbar d_p d_q v; i (a + ib) = -b + ia
+                fd4(o, t[:, 2:-2], 1, 2, hi - lo - 2)
+                t3[:, :, 1::n_p - 3] = ex[:, r0:r1]  # columns 1 and np-2
+                t *= c_x
+                o3 *= c_q
+                o += t[::-1]
+            else:
+                o3 *= c_q
+            fd4(v, t, 1, lo, hi)
+            t3[:, :, 1::n_p - 3] = ep[:, r0:r1]
+            t *= c_p[lo:hi]
+            o += t
+            o += u[:, lo:hi]
+            o3[:, :, ::n_p - 1] = u3[:, r0:r1, ::n_p - 1]  # columns 0, np-1
+
+    return stage
 
 
 def step_schedule(t, dt):
-    """(steps, h) of a fixed-step run over t: h = t / round(t/dt), up to
-    1.5 dt; used by rk4_evolve and dynamics.euler_evolve."""
+    """(steps, h) of a fixed-step run over t: h = t / round(|t|/dt), so |h|
+    is at most 1.5 dt and h has the sign of t; used by rk4_evolve and
+    dynamics.euler_evolve."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    steps = max(1, round(t / dt))
+    steps = max(1, round(abs(t) / dt))
     return steps, t / steps
 
 
 def rk4_evolve(g0, kind, t, dt, params=Params()):
     """Classical RK4 advection of grid values; an oracle, not the primary path.
 
-    kind "damped" applies -vq d_q - vp d_p with vq = p/m, vp = -m w^2 q -
-    2 g p; "naive" drops the damping drift and adds the i gamma hbar d_p d_q
-    term of the rejected equation (p-stencil of the q-stencil, added to the
-    opposite plane).  The state is real planes flattened q-major, so a
-    5-point 4th-order stencil is one pass with offsets +-np (q) or +-1 (p);
-    rows 1, nq-2 and columns 1, np-2 are patched with one-sided stencils.
-    Buffers are allocated once per call.  A "naive" state, or one with any
-    imaginary entry other than +0.0, is two planes (real, imaginary part).
-    A "damped" state whose imaginary part is all +0.0 is one plane: the
-    damped advection is real (the corrected equation of motion is the
-    classical one), so that part would stay +0.0 at every step, and the
-    result equals the two-plane one bit for bit.  The outer ring is never
-    advanced (zero coefficients): a far-field closure, as states decay
-    below 1e-8 there and the one-sided edge stencils would otherwise seed
-    a slow exponential instability.  A run that overflows raises
-    NonFiniteError naming its CFL ratio.
+    kind "damped" applies L = -vq d_q - vp d_p with vq = p/m, vp = -m w^2 q
+    - 2 g p; "naive" drops the damping drift and adds the i gamma hbar
+    d_p d_q term of the rejected equation (p-stencil of the q-stencil,
+    added to the opposite plane).  The state is real planes flattened
+    q-major, so a 5-point 4th-order stencil is one pass with offsets +-np
+    (q) or +-1 (p); rows 1, nq-2 and columns 1, np-2 are patched with
+    one-sided stencils.
+
+    L is linear and autonomous, so the stages k1..k4 of classical RK4 sum
+    to the degree-4 Taylor polynomial of exp(hL) applied to u, u + hLu +
+    (hL)^2 u/2 + (hL)^3 u/6 + (hL)^4 u/24.  A step evaluates it in Horner
+    form, u + hL(u + h/2 L(u + h/3 L(u + h/4 Lu))): four stages
+    u + (h/k) L v for k = 4, 3, 2, 1, each v the stage before it.  The
+    stages alternate between two buffers, so a step holds three states;
+    the result is RK4's up to rounding (1e-14 on O(1) states).  Each stage
+    runs over strips of rows (_STRIP_NODES) that keep its arrays in cache;
+    its edge rows and columns are formed once on the whole plane, so the
+    result is the same bit for bit at any strip height.
+
+    A "naive" state, or one with any imaginary entry other than +0.0, is
+    two planes (real, imaginary part).  A "damped" state whose imaginary
+    part is all +0.0 is one plane: the damped advection is real (the
+    corrected equation of motion is the classical one), so that part would
+    stay +0.0 at every step, and the result equals the two-plane one bit
+    for bit, as every stage works elementwise on each plane.  The outer
+    ring is never advanced: a far-field closure, as states decay below
+    1e-8 there and the one-sided edge stencils would otherwise seed a slow
+    exponential instability.  A negative t steps backward (h < 0), its CFL
+    ratio judged at |h|.  A run that overflows raises NonFiniteError
+    naming its CFL ratio.
     """
     spec = g0.spec
     steps, h = step_schedule(t, dt)
-    ratio = cfl_ratio(spec, params, h, kind)  # judged at h, not dt
+    ratio = cfl_ratio(spec, params, abs(h), kind)  # judged at |h|, not dt
     if ratio > 0.5:
-        warnings.warn(f"step h = {h:.3g}: h * vmax / dx = {ratio:.3g} "
+        warnings.warn(f"step h = {h:.3g}: |h| * vmax / dx = {ratio:.3g} "
                       "exceeds 0.5", CFLWarning)
     re, im = np.real(g0.values).ravel(), np.imag(g0.values).ravel()
     real = kind == "damped" and not (im.any() or np.signbit(im).any())
     u = np.stack([re] if real else [re, im])
-    rhs = _advection(spec, params, kind, len(u))
-    ksum, k, stage = (np.zeros_like(u) for _ in range(3))
+    stage = _advection(spec, params, kind, len(u), h)
+    a, b = u.copy(), u.copy()  # the ring rows of every buffer stay u's
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(steps):
-            rhs(u, ksum)  # k1; ksum collects k1 + 2 k2 + 2 k3 + k4
-            np.multiply(ksum, 0.5 * h, out=stage)
-            for c in (0.5 * h, h, None):  # stages 2, 3, 4
-                stage += u
-                rhs(stage, k)
-                if c:
-                    np.multiply(k, c, out=stage)
-                    k *= 2.0
-                ksum += k
-            ksum *= h / 6.0
-            u += ksum
+        for _ in range(steps):  # Horner: u + hL(u + h/2 L(u + h/3 L(...)))
+            stage(u, u, a, 4)
+            stage(u, a, b, 3)
+            stage(u, b, a, 2)
+            stage(u, a, b, 1)
+            u, b = b, u
     if not np.isfinite(u).all():
         raise NonFiniteError(f"RK4 state overflowed after {steps} steps "
                              f"(cfl_ratio={ratio:.3g}; lower dt)")

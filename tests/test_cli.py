@@ -327,6 +327,49 @@ def test_evolve_rk4_unstable_exits_numeric(capsys, tmp_path):
     assert "cfl_ratio=18" in err
 
 
+def test_evolve_rk4_negative_time(capsys, tmp_path):
+    # t = -0.5 is reached by stepping backward from 0, then forward again
+    dests = [tmp_path / "back.csv", tmp_path / "again.csv"]
+    doc = {
+        "params": {"gamma": 0.1},
+        "initial": "exp(-(q^2+p^2)/2)",
+        "evolution": "rk4",
+        "dt": 0.005,
+        "times": [-0.5, 0.0],
+        "grid": {"q_min": -6, "q_max": 6, "p_min": -6, "p_max": 6,
+                 "nq": 61, "np": 61},
+        "outputs": [{"time": t, "format": "csv", "path": str(d)}
+                    for t, d in zip([-0.5, 0.0], dests)],
+    }
+    code, out, _ = run(capsys, "evolve",
+                       _write_scenario(tmp_path / "sc.json", doc))
+    assert code == 0
+    # |h| * max|v| / dq = 0.005 * (6 + 2 * 0.1 * 6) / 0.2 on both intervals
+    cfl = [ln for ln in out.splitlines() if ln.startswith("cfl_ratio=")]
+    assert float(cfl[0].split("=")[1]) == pytest.approx(0.18, rel=1e-6)
+    initial = parse("exp(-(q^2+p^2)/2)")
+    for dest, t in zip(dests, [-0.5, 0.0]):
+        grid = numerics.load_grid(dest)
+        exact = numerics.sample(
+            sk.evolve_classical(initial, t, sym.Params(gamma=0.1)), grid.spec)
+        assert numerics.grid_distance(grid, exact) < 1e-3
+
+
+def test_evolve_naive_negative_time_exits_config(capsys, tmp_path):
+    doc = {
+        "initial": "2*exp(-(q^2+p^2))",
+        "evolution": "naive",
+        "times": [-0.5, 0.0],
+        "grid": {"q_min": -3, "q_max": 3, "p_min": -3, "p_max": 3,
+                 "nq": 9, "np": 9},
+    }
+    code, out, err = run(capsys, "evolve",
+                         _write_scenario(tmp_path / "sc.json", doc))
+    assert code == 2
+    assert out == ""
+    assert "times must be >= 0" in err
+
+
 def test_evolve_damped_ansatz_scenario(capsys, tmp_path):
     doc = {
         "evolution": "damped_ansatz",

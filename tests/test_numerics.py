@@ -199,9 +199,9 @@ def _planes_used(monkeypatch):
     """List that records the plane count of every rk4_evolve call."""
     seen, advection = [], numerics._advection
 
-    def spy(spec, params, kind, planes):
+    def spy(spec, params, kind, planes, h):
         seen.append(planes)
-        return advection(spec, params, kind, planes)
+        return advection(spec, params, kind, planes, h)
     monkeypatch.setattr(numerics, "_advection", spy)
     return seen
 
@@ -434,7 +434,9 @@ def test_advection_operator_exact_on_quartic():
             expected = expected + 1j * par.gamma * par.hbar * d2u_dpdq
         out = np.zeros((2, u.size))
         planes = np.stack([u.real.ravel(), u.imag.ravel()])
-        numerics._advection(spec, par, kind, 2)(planes, out)
+        # one stage with h = 1 from a zero base: out = L planes
+        numerics._advection(spec, par, kind, 2, 1.0)(
+            np.zeros_like(planes), planes, out, 1)
         got = (out[0] + 1j * out[1]).reshape(u.shape)
         assert np.abs(got - expected)[1:-1, 1:-1].max() < 1e-10
         ring = np.ones(u.shape, dtype=bool)
@@ -442,7 +444,8 @@ def test_advection_operator_exact_on_quartic():
         assert np.all(got[ring] == 0.0)
         if kind == "damped":  # a real operator: one plane, the real part
             one = np.zeros((1, u.size))
-            numerics._advection(spec, par, kind, 1)(planes[:1].copy(), one)
+            numerics._advection(spec, par, kind, 1, 1.0)(
+                np.zeros_like(one), planes[:1].copy(), one, 1)
             assert np.array_equal(one[0], out[0])
 
 
@@ -529,3 +532,97 @@ def test_rk4_overflow_raises_typed():
         with pytest.warns(CFLWarning), \
                 pytest.raises(NonFiniteError, match="cfl_ratio=18"):
             numerics.rk4_evolve(g0, "damped", 40.0, 0.5, par)
+
+
+def _rk4_k_reference(g0, kind, t, dt, par):
+    """The k1..k4 loop of classical RK4 over the stage operator, two planes.
+
+    rhs(v, out) is L v: one stage with h = 1 from a zero base.
+    """
+    steps, h = numerics.step_schedule(t, dt)
+    u = np.stack([g0.values.real.ravel(), g0.values.imag.ravel()])
+    zero, stage_op = np.zeros_like(u), numerics._advection(
+        g0.spec, par, kind, 2, 1.0)
+
+    def rhs(v, out):
+        stage_op(zero, v, out, 1)
+
+    ksum, k, stage = (np.zeros_like(u) for _ in range(3))
+    for _ in range(steps):
+        rhs(u, ksum)  # k1; ksum collects k1 + 2 k2 + 2 k3 + k4
+        np.multiply(ksum, 0.5 * h, out=stage)
+        for c in (0.5 * h, h, None):  # stages 2, 3, 4
+            stage += u
+            rhs(stage, k)
+            if c:
+                np.multiply(k, c, out=stage)
+                k *= 2.0
+            ksum += k
+        ksum *= h / 6.0
+        u += ksum
+    return (u[0] + 1j * u[1]).reshape(g0.values.shape)
+
+
+_STAGE_CASES = [("damped", 1.0), ("damped", 1.0 + 0.5j), ("naive", 1.0)]
+
+
+def _stage_state(n, amplitude):
+    spec = sym.GridSpec(-6.0, 6.0, -6.0, 6.0, n, n)
+    return numerics.sample(sym.gaussian(amplitude, app=-0.5, aqq=-0.6,
+                                        apq=0.15, bp=-0.3, bq=0.5), spec)
+
+
+@pytest.mark.parametrize("n", [21, 61])
+@pytest.mark.parametrize("kind, amplitude", _STAGE_CASES)
+def test_rk4_horner_stages_match_k_stages(kind, amplitude, n):
+    # for a linear autonomous L both are the degree-4 Taylor polynomial of
+    # exp(hL) applied to u; only the rounding differs
+    par = sym.Params(gamma=0.2)
+    g0 = _stage_state(n, amplitude)
+    ref = _rk4_k_reference(g0, kind, 0.05, 1e-3, par)
+    out = numerics.rk4_evolve(g0, kind, 0.05, 1e-3, par)
+    assert np.abs(ref).max() > 0.5
+    assert np.abs(out.values - ref).max() <= 1e-14
+
+
+@pytest.mark.parametrize("kind, amplitude", _STAGE_CASES)
+def test_rk4_independent_of_strip_height(kind, amplitude, monkeypatch):
+    # one strip at the default size against 3-row strips: edge rows and
+    # columns come from whole-plane passes, the rest is elementwise
+    par, n = sym.Params(gamma=0.2), 61
+    g0 = _stage_state(n, amplitude)
+    whole = numerics.rk4_evolve(g0, kind, 0.02, 1e-3, par)
+    planes = 1 if kind == "damped" and amplitude == 1.0 else 2
+    monkeypatch.setattr(numerics, "_STRIP_NODES", 3 * planes * n)
+    strips = numerics.rk4_evolve(g0, kind, 0.02, 1e-3, par)
+    assert _same_bits(strips.values.real, whole.values.real)
+    assert _same_bits(strips.values.imag, whole.values.imag)
+
+
+def test_rk4_negative_time_steps_backward():
+    # t = -1 is 1000 steps of h = -1e-3, as close to the exact flow as t = 1
+    par = sym.Params(gamma=0.1)
+    spec = sym.GridSpec(-6.0, 6.0, -6.0, 6.0, 61, 61)
+    rho0 = sym.gaussian(1.0, app=-0.5, aqq=-0.5, bp=-0.3, bq=0.5)
+    g0 = numerics.sample(rho0, spec)
+    miss = {}
+    for t in (1.0, -1.0):
+        out = numerics.rk4_evolve(g0, "damped", t, 1e-3, par)
+        exact = numerics.sample(dynamics.evolve_classical(rho0, t, par), spec)
+        miss[t] = numerics.grid_distance(out, exact)
+    assert miss[1.0] <= 5e-4
+    assert miss[-1.0] <= miss[1.0]
+
+
+@pytest.mark.parametrize("t, warns", [(-0.029, True), (-0.031, False)])
+def test_rk4_cfl_judged_at_negative_step(t, warns):
+    # the ratio of a backward step is that of |h|: 0.58 and 0.31, as above
+    spec = sym.GridSpec(-6.0, 6.0, -6.0, 6.0, 41, 41)
+    g0 = numerics.sample(sk.sho_wigner_eigenstate(0), spec)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", CFLWarning)
+        numerics.rk4_evolve(g0, "damped", t, 0.02, sym.Params())
+    cfl = [w for w in caught if issubclass(w.category, CFLWarning)]
+    assert len(cfl) == int(warns)
+    if warns:
+        assert "h = -0.029" in str(cfl[0].message)
