@@ -22,6 +22,9 @@
 - `export_grid` (CSV and JSON) and `load_grid` on `WIDE_SPEC` of the
   Wigner state n = 12 (real values) and of the off-diagonal state
   rho_{4,8} evolved to t = 0.7 at gamma = 0.2 (complex values).
+- `starkit evolve` in-process on the README scenario (gamma = 0.1, times
+  0, 1, 2, 201x201, CSV export at t = 2) with `classical` and with
+  `naive` evolution.
 
 Run from the repository root as
 
@@ -30,6 +33,9 @@ Run from the repository root as
 Each line reports the median and the minimum of several repeats.
 """
 
+import contextlib
+import io
+import json
 import os
 import statistics
 import tempfile
@@ -40,6 +46,7 @@ import numpy as np
 import starkit as sk
 from starkit import dynamics, numerics, oscillator, transition
 from starkit import symbols as sym
+from starkit.cli import main
 from starkit.expr import format_symbol, parse
 from starkit.numerics import WIDE_SPEC
 
@@ -195,6 +202,33 @@ def bench_grid_io():
                       f"{np.array_equal(back.values, grid.values)}")
 
 
+def bench_readme_scenario():
+    print("starkit evolve, README scenario (in-process)")
+    with tempfile.TemporaryDirectory() as tmp:
+        for kind in ("classical", "naive"):
+            doc = {"params": {"m": 1.0, "omega": 1.0, "hbar": 1.0,
+                              "gamma": 0.1},
+                   "initial": "2*exp(-(q^2+p^2))", "evolution": kind,
+                   "times": [0.0, 1.0, 2.0],
+                   "grid": {"q_min": -6, "q_max": 6, "p_min": -6, "p_max": 6,
+                            "nq": 201, "np": 201},
+                   "outputs": [{"time": 2.0, "format": "csv",
+                                "path": os.path.join(tmp, "out.csv")}]}
+            path = os.path.join(tmp, f"{kind}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+
+            def run():
+                with contextlib.redirect_stdout(io.StringIO()) as out:
+                    code = main(["evolve", path])
+                if code:
+                    raise RuntimeError(f"evolve {kind} exited {code}")
+                return out.getvalue()
+            med, best, out = timeit(run, 5)
+            report(kind, med, best)
+            print("    " + " ".join(ln.split()[1] for ln in out.splitlines()))
+
+
 if __name__ == "__main__":
     bench_eval()
     bench_rk4()
@@ -203,3 +237,4 @@ if __name__ == "__main__":
     bench_products()
     bench_algebra()
     bench_grid_io()
+    bench_readme_scenario()

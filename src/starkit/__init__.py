@@ -6,8 +6,9 @@ class of polynomial-times-Gaussian phase-space symbols.
 """
 
 from .dynamics import (FlowMap, damped_rhs, evolve_classical,
-                       evolve_damped_ansatz, evolve_eigenexpansion, flow_map,
-                       moyal_rhs, naive_rhs, pullback, reality_defect)
+                       evolve_damped_ansatz, evolve_eigenexpansion,
+                       evolve_naive, flow_map, moyal_rhs, naive_rhs, pullback,
+                       reality_defect)
 from .expr import format_symbol, parse
 from .numerics import (PhaseGrid, export_grid, grid_distance, load_grid,
                        rk4_evolve, sample, star_series_oracle)

@@ -46,11 +46,11 @@ EXIT_CODES = (
 _PARAM_DEFAULTS = {"m": 1.0, "omega": 1.0, "hbar": 1.0, "gamma": 0.0}
 
 
-def finite(text):
-    """argparse type of the parameter flags: a finite float."""
-    x = float(text)
+def finite(value, what="value"):
+    """A finite float; also the argparse type of the parameter flags."""
+    x = float(value)
     if not math.isfinite(x):
-        raise ValueError(text)
+        raise ValueError(f"{what} must be finite, not {value!r}")
     return x
 
 
@@ -125,24 +125,16 @@ def _evolution(doc, params, spec):
                              for e in doc["entries"])]
         return lambda times: (dynamics.evolve_damped_ansatz(entries, t, params)
                               for t in times)
-    if kind not in ("classical", "naive", "rk4"):
+    exact = {"classical": dynamics.evolve_classical,
+             "naive": dynamics.evolve_naive}
+    if kind not in (*exact, "rk4"):
         raise ValueError(f"unknown evolution {kind!r}")
     initial = parse(doc["initial"])
-    if kind == "classical":
-        return lambda times: (dynamics.evolve_classical(initial, t, params)
-                              for t in times)
-    dt = float(doc.get("dt", 0.05 if kind == "naive" else 1e-3))
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if kind == "naive":
-        def naive_states(times):
-            if any(t < 0 for t in times):
-                raise ValueError("naive evolution steps forward only; "
-                                 "times must be >= 0")
-            return (dynamics.euler_evolve(
-                initial, lambda r: dynamics.naive_rhs(r, params), t, dt)
-                if t > 0 else initial for t in times)
-        return naive_states
+    if kind in exact:
+        return lambda times: (exact[kind](initial, t, params) for t in times)
+    dt = float(doc.get("dt", 1e-3))
+    if not 0 < dt < math.inf:
+        raise ValueError("dt must be finite and positive")
 
     def rk4_states(times):
         # the largest |h| over the intervals stepped bounds every CFLWarning
@@ -170,8 +162,9 @@ def _read_scenario(path):
     with open(path, encoding="utf-8") as fh:
         doc = _object(json.load(fh), "the scenario")
     pdoc = _object(doc.get("params", {}), "'params'")
-    params = Params(**{k: pdoc.get(k, v) for k, v in _PARAM_DEFAULTS.items()})
-    times = [float(t) for t in doc.get("times", [])]
+    params = Params(**{k: finite(pdoc.get(k, v), f"params {k!r}")
+                       for k, v in _PARAM_DEFAULTS.items()})
+    times = [finite(t, "each time") for t in doc.get("times", [])]
     if times != sorted(times):
         raise ValueError("times must be non-decreasing")
     gdoc = _object(doc["grid"], "'grid'")

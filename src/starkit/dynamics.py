@@ -1,4 +1,4 @@
-"""Evolution equations and the exact classical-flow solution.
+"""Evolution equations and their exact solutions.
 
 The corrected damped equation
 
@@ -8,7 +8,8 @@ keeps real states real and reduces exactly to the damped classical
 advection for the quadratic Hamiltonian, so the evolved state is the
 initial symbol composed with the backward classical flow.  The rejected
 (naive) commutator equation is kept as a falsification exhibit: its extra
-term i gamma hbar d_p d_q rho breaks reality for gamma > 0.
+term i gamma hbar d_p d_q rho breaks reality for gamma > 0.  Its exact
+solution is one transition operator and one undamped-flow pullback.
 """
 
 import cmath
@@ -19,10 +20,10 @@ import numpy as np
 
 from . import symbols as sym
 from .errors import PositivityError
-from .numerics import step_schedule
 from .oscillator import energy, hamiltonian, sho_offdiagonal
 from .star import damped_ad, damped_star, star_commutator
 from .symbols import Params
+from .transition import DerivOperator, apply
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,22 @@ def evolve_classical(rho0, t, params=Params()):
     return pullback(rho0, flow_map(-t, params))
 
 
+def evolve_naive(rho0, t, params=Params()):
+    """Exact solution of the rejected equation, d(rho)/dt = naive_rhs(rho).
+
+    Its generator is the undamped flow L0 plus i gamma hbar d_p d_q, so
+    rho(t) = [exp((1/2) grad^T C grad) rho0] o L0(-t), where (k = i gamma
+    hbar, c = cos 2wt, s = sin 2wt) C_qq = k(c - 1)/(2 m w^2), C_qp = C_pq
+    = k s/(2w) and C_pp = k m(1 - c)/2; exact for either sign of t.
+    """
+    m, w, k = params.m, params.omega, 1j * params.gamma * params.hbar
+    c, s = math.cos(2 * w * t), math.sin(2 * w * t)
+    cqp = k * s / (2 * w)
+    op = DerivOperator("naive", ((k * (c - 1) / (2 * m * w * w), cqp),
+                                 (cqp, k * m * (1 - c) / 2)), params)
+    return evolve_classical(apply(op, rho0), t, replace(params, gamma=0.0))
+
+
 def damped_rhs(rho, params=Params()):
     """d(rho)/dt of the corrected equation, (H *_{-g} rho - rho *_g H)/(i hbar).
 
@@ -102,19 +119,6 @@ def reality_defect(rho_dot):
         return 0.0
     P, Q = sym.SAMPLE_SPEC.meshes()
     return float(np.abs(sym.evaluate_grid(rho_dot, P, Q).imag).max())
-
-
-def euler_evolve(rho0, rhs, t, dt):
-    """Explicit Euler stepping of a symbol-level right-hand side.
-
-    Used to exhibit the reality defect of the naive equation; not an
-    accurate integrator.  Steps follow step_schedule, as in rk4_evolve.
-    """
-    steps, h = step_schedule(t, dt)
-    rho = rho0
-    for _ in range(steps):
-        rho = sym.combine(rho, 1.0, rhs(rho), h)
-    return rho
 
 
 def evolve_eigenexpansion(coeffs, t, params=Params()):

@@ -207,11 +207,10 @@ def _advection(spec, params, kind, planes, h):
 
 
 def step_schedule(t, dt):
-    """(steps, h) of a fixed-step run over t: h = t / round(|t|/dt), so |h|
-    is at most 1.5 dt and h has the sign of t; used by rk4_evolve and
-    dynamics.euler_evolve."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    """(steps, h) of an rk4_evolve run over t: h = t / round(|t|/dt), so |h|
+    is at most 1.5 dt and h has the sign of t; dt finite and positive."""
+    if not 0 < dt < np.inf:
+        raise ValueError("dt must be finite and positive")
     steps = max(1, round(abs(t) / dt))
     return steps, t / steps
 

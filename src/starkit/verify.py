@@ -71,6 +71,22 @@ def _fd_time(sample_at, t, h=1e-5):
             - (sample_at(t + 2 * h) - sample_at(t - 2 * h))) / (12.0 * h)
 
 
+def _solution_miss(evolve, rhs, rho0, params):
+    """Sup over t in {0, 0.7, 1.5, 3} and the sample lattice of
+    |d/dt evolve - rhs(evolve)|, the time derivative by _fd_time."""
+    P, Q = sym.SAMPLE_SPEC.meshes()
+
+    def state_vals(t):
+        return sym.evaluate_grid(evolve(rho0, t, params), P, Q)
+
+    worst = 0.0
+    for t in (0.0, 0.7, 1.5, 3.0):
+        lhs = _fd_time(state_vals, t)
+        rhs_t = sym.evaluate_grid(rhs(evolve(rho0, t, params), params), P, Q)
+        worst = max(worst, float(np.abs(lhs - rhs_t).max()))
+    return worst
+
+
 def check_bracket(params=Params(gamma=0.1)):
     m, w, g = params.m, params.omega, params.gamma
     H = oscillator.hamiltonian(params)
@@ -225,6 +241,10 @@ def check_reality():
     out.append(CheckResult("reality defect of corrected rhs",
                            dynamics.reality_defect(
                                dynamics.damped_rhs(rho0, params)), 1e-12))
+    out.append(CheckResult("d/dt evolve_naive = naive_rhs (t in [0,3])",
+                           _solution_miss(dynamics.evolve_naive,
+                                          dynamics.naive_rhs, rho0, params),
+                           1e-7))
     return out
 
 
@@ -251,24 +271,12 @@ def check_flow():
                                              bp=0.3, bq=-0.4)),
         sym.Term(0.3, 0, 1, sym.QuadExponent(app=-0.6, aqq=-0.8, apq=0.1,
                                              bp=0.3, bq=-0.4))])
-    P, Q = sym.SAMPLE_SPEC.meshes()
     for g, label in ((0.1, "underdamped"), (1.0, "critical"),
                      (1.6, "overdamped")):
-        params = Params(gamma=g)
-
-        def state_vals(t, params=params):
-            return sym.evaluate_grid(
-                dynamics.evolve_classical(rho0, t, params), P, Q)
-
-        worst = 0.0
-        for t in (0.0, 0.7, 1.5, 3.0):
-            lhs = _fd_time(state_vals, t)
-            rhs = sym.evaluate_grid(dynamics.damped_rhs(
-                dynamics.evolve_classical(rho0, t, params), params), P, Q)
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
         out.append(CheckResult(
             f"d/dt evolve_classical = damped_rhs ({label}, t in [0,3])",
-            worst, 1e-7))
+            _solution_miss(dynamics.evolve_classical, dynamics.damped_rhs,
+                           rho0, Params(gamma=g)), 1e-7))
     params = Params(gamma=0.1)
     smooth = sym.gaussian(1.0, app=-0.5, aqq=-0.5, bp=-0.3, bq=0.5,
                           apq=0.0)

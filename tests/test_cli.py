@@ -355,19 +355,26 @@ def test_evolve_rk4_negative_time(capsys, tmp_path):
         assert numerics.grid_distance(grid, exact) < 1e-3
 
 
-def test_evolve_naive_negative_time_exits_config(capsys, tmp_path):
+def test_evolve_naive_negative_time(capsys, tmp_path):
+    # the exact flow runs both ways; no dt is read
+    dest = tmp_path / "back.csv"
     doc = {
+        "params": {"gamma": 0.1},
         "initial": "2*exp(-(q^2+p^2))",
         "evolution": "naive",
         "times": [-0.5, 0.0],
         "grid": {"q_min": -3, "q_max": 3, "p_min": -3, "p_max": 3,
                  "nq": 9, "np": 9},
+        "outputs": [{"time": -0.5, "format": "csv", "path": str(dest)}],
     }
-    code, out, err = run(capsys, "evolve",
-                         _write_scenario(tmp_path / "sc.json", doc))
-    assert code == 2
-    assert out == ""
-    assert "times must be >= 0" in err
+    code, out, _ = run(capsys, "evolve",
+                       _write_scenario(tmp_path / "sc.json", doc))
+    assert code == 0
+    assert len(out.strip().splitlines()) == 2
+    grid = numerics.load_grid(dest)
+    exact = numerics.sample(sk.evolve_naive(
+        parse("2*exp(-(q^2+p^2))"), -0.5, sym.Params(gamma=0.1)), grid.spec)
+    assert numerics.grid_distance(grid, exact) == 0.0
 
 
 def test_evolve_damped_ansatz_scenario(capsys, tmp_path):
@@ -485,6 +492,20 @@ EXIT_CASES = {
     "output entry not an object": (2, "'outputs' entry must be a JSON object",
                                    lambda tmp, mp: _scenario_argv(
         tmp, {"initial": "q", "outputs": ["out.csv"]})),
+    "time NaN": (2, "each time must be finite", lambda tmp, mp: _scenario_argv(
+        tmp, {"initial": "q", "times": [0.0, math.nan]})),
+    "time Infinity": (2, "each time must be finite",
+                      lambda tmp, mp: _scenario_argv(
+        tmp, {"initial": "q", "times": [0.0, math.inf]})),
+    "gamma NaN": (2, "params 'gamma' must be finite",
+                  lambda tmp, mp: _scenario_argv(
+        tmp, {"initial": "q", "params": {"gamma": math.nan}})),
+    "rk4 dt Infinity": (2, "dt must be finite and positive",
+                        lambda tmp, mp: _scenario_argv(
+        tmp, {"initial": "q", "evolution": "rk4", "dt": math.inf})),
+    "rk4 dt NaN": (2, "dt must be finite and positive",
+                   lambda tmp, mp: _scenario_argv(
+        tmp, {"initial": "q", "evolution": "rk4", "dt": math.nan})),
 }
 
 

@@ -190,24 +190,54 @@ def test_reality_defect_basics():
         sk.sho_wigner_eigenstate(0), par)) <= 1e-12
 
 
-def test_euler_naive_defect_grows():
+def test_evolve_naive_reality_defects():
     par = sym.Params(gamma=0.1)
     rho0 = sk.sho_wigner_eigenstate(0, par)
-    defects = []
-    for t in (0.0, 0.2, 0.4):
-        state = dynamics.euler_evolve(
-            rho0, lambda r: dynamics.naive_rhs(r, par), t, 0.05) \
-            if t > 0 else rho0
-        defects.append(dynamics.reality_defect(state))
+    defects = [dynamics.reality_defect(dynamics.evolve_naive(rho0, t, par))
+               for t in (0.0, 1.0, 2.0)]
     assert defects[0] == 0.0
-    assert defects[0] < defects[1] < defects[2]
+    assert defects[1:] == pytest.approx([8.832221e-2, 1.026458e-1], rel=1e-6)
 
 
-def test_euler_rejects_bad_step():
-    rho0 = sk.sho_wigner_eigenstate(0)
-    for dt in (0.0, -0.05):
-        with pytest.raises(ValueError):
-            dynamics.euler_evolve(rho0, dynamics.naive_rhs, 0.2, dt)
+NAIVE_PARAMS = [sym.Params(gamma=0.1), sym.Params(1.7, 0.8, 0.6, 0.3)]
+
+
+@pytest.mark.parametrize("par", NAIVE_PARAMS)
+def test_evolve_naive_solves_naive_equation(par):
+    rho0 = sk.sho_wigner_eigenstate(3, par)
+    P, Q = sym.SAMPLE_SPEC.meshes()
+
+    def vals(t):
+        return sym.evaluate_grid(dynamics.evolve_naive(rho0, t, par), P, Q)
+
+    h = 1e-5
+    for t0 in (-1.0, 0.0, 0.7, 3.0):
+        fd = (8 * (vals(t0 + h) - vals(t0 - h))
+              - (vals(t0 + 2 * h) - vals(t0 - 2 * h))) / (12 * h)
+        rhs = sym.evaluate_grid(dynamics.naive_rhs(
+            dynamics.evolve_naive(rho0, t0, par), par), P, Q)
+        assert np.abs(fd - rhs).max() <= 1e-8
+
+
+@pytest.mark.parametrize("par", NAIVE_PARAMS)
+def test_evolve_naive_semigroup_and_round_trip(par):
+    for rho0 in (sk.sho_wigner_eigenstate(0, par),
+                 sk.sho_wigner_eigenstate(3, par)):
+        two_step = dynamics.evolve_naive(
+            dynamics.evolve_naive(rho0, 0.7, par), 0.8, par)
+        assert sym.residual(
+            two_step, dynamics.evolve_naive(rho0, 1.5, par)) <= 1e-14
+        back = dynamics.evolve_naive(
+            dynamics.evolve_naive(rho0, 1.3, par), -1.3, par)
+        assert sym.residual(back, rho0) <= 1e-14
+
+
+def test_evolve_naive_at_zero_gamma_is_classical(rng):
+    par = sym.Params(1.7, 0.8, 0.6, 0.0)
+    for t in (-1.0, 0.7, 3.0):
+        rho0 = random_symbol(rng)
+        assert sym.residual(dynamics.evolve_naive(rho0, t, par),
+                            dynamics.evolve_classical(rho0, t, par)) <= 1e-15
 
 
 def test_eigenexpansion_diagonal_is_stationary():

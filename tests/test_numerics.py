@@ -169,6 +169,15 @@ def test_rk4_naive_mode_breaks_reality(monkeypatch):
     out = numerics.rk4_evolve(g0, "naive", 0.2, 2e-3, par)
     assert planes == [2]
     assert np.abs(out.values.imag).max() > 1e-3
+    exact = numerics.sample(
+        sk.evolve_naive(sk.sho_wigner_eigenstate(0, par), 0.2, par), spec)
+    assert numerics.grid_distance(out, exact) <= 1e-4
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.05, math.inf, math.nan])
+def test_step_schedule_rejects_bad_dt(dt):
+    with pytest.raises(ValueError, match="finite and positive"):
+        numerics.step_schedule(1.0, dt)
 
 
 def test_rk4_cfl_warning():
