@@ -11,8 +11,10 @@
   50 steps on 201x201 (one plane), and 20 `naive` steps on 201x201 (two
   planes).
 - `transition.apply` on the Wigner state n = 12 (damped gamma = 0.2 and
-  husimi s = 1) and on a two-group class member (damped gamma = 0.2), and
-  `dynamics.pullback` of the Wigner state along the damped flow at t = 1.
+  husimi s = 1) and on a two-group class member (damped gamma = 0.2),
+  `dynamics.pullback` along the damped flow at t = 1 of the Wigner state
+  and of a three-group class member (the group kernel once per group), and
+  `dynamics.evolve_naive` of the Wigner state at gamma = 0.2, t = 1.
 - `star_product` on a damped (gamma = 0.1) pair of pure Gaussians and on
   H star rho_6 (the series path), on the moyal rho_3 star rho_3 (the
   group formula in doubled phase space), and on a pair of two-group
@@ -121,6 +123,12 @@ def two_group_member():
                        sym.pointwise_multiply(poly, bump), 1.0)
 
 
+def three_group_member():
+    """The two-group member plus a displaced pure Gaussian."""
+    return sym.combine(two_group_member(), 1.0,
+                       sym.gaussian(0.3j, app=-0.7, aqq=-0.5, bq=0.25), 1.0)
+
+
 def gaussian_sum(a, b):
     """Sum of two pure Gaussians with different exponents."""
     return sym.combine(sym.gaussian(1.0, app=-a, aqq=-b, bq=0.1), 1.0,
@@ -143,6 +151,12 @@ def bench_maps(n=12):
     flow = dynamics.flow_map(1.0, params)
     med, best, _ = timeit(lambda: dynamics.pullback(state, flow), 7)
     report("pullback t=1", med, best)
+    member = three_group_member()
+    med, best, _ = timeit(lambda: dynamics.pullback(member, flow), 7)
+    report(f"pullback t=1, three-group member ({len(member.terms)} terms)",
+           med, best)
+    med, best, _ = timeit(lambda: dynamics.evolve_naive(state, 1.0, params), 7)
+    report("evolve_naive gamma=0.2, t=1", med, best)
 
 
 def bench_products():

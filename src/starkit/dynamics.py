@@ -8,8 +8,11 @@ keeps real states real and reduces exactly to the damped classical
 advection for the quadratic Hamiltonian, so the evolved state is the
 initial symbol composed with the backward classical flow.  The rejected
 (naive) commutator equation is kept as a falsification exhibit: its extra
-term i gamma hbar d_p d_q rho breaks reality for gamma > 0.  Its exact
-solution is one transition operator and one undamped-flow pullback.
+term i gamma hbar d_p d_q rho breaks reality for gamma > 0.  Both exact
+solutions are linear maps on the symbol class and go through
+transition._image, one exponent group at a time: the corrected one is the
+pullback along the backward damped flow (derivative part C = 0), the naive
+one a derivative exponential then the undamped pullback, in one pass.
 """
 
 import cmath
@@ -23,7 +26,7 @@ from .errors import PositivityError
 from .oscillator import energy, hamiltonian, sho_offdiagonal
 from .star import damped_ad, damped_star, star_commutator
 from .symbols import Params
-from .transition import DerivOperator, apply
+from .transition import _image
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,7 @@ def flow_map(t, params=Params()):
 
 def pullback(rho, flow):
     """Substitute the linear map into the symbol: (rho o L)(x) = rho(L x)."""
-    return sym.substitute(rho, flow.matrix())
+    return _image(rho, np.zeros((2, 2)), flow.matrix())
 
 
 def evolve_classical(rho0, t, params=Params()):
@@ -82,9 +85,10 @@ def evolve_naive(rho0, t, params=Params()):
     m, w, k = params.m, params.omega, 1j * params.gamma * params.hbar
     c, s = math.cos(2 * w * t), math.sin(2 * w * t)
     cqp = k * s / (2 * w)
-    op = DerivOperator("naive", ((k * (c - 1) / (2 * m * w * w), cqp),
-                                 (cqp, k * m * (1 - c) / 2)), params)
-    return evolve_classical(apply(op, rho0), t, replace(params, gamma=0.0))
+    C = np.array([[k * (c - 1) / (2 * m * w * w), cqp],
+                  [cqp, k * m * (1 - c) / 2]])
+    undamped = flow_map(-t, replace(params, gamma=0.0))
+    return _image(rho0, C, undamped.matrix())
 
 
 def damped_rhs(rho, params=Params()):

@@ -56,12 +56,6 @@ def grid_distance(g1, g2):
     return float(np.abs(g1.values - g2.values).max())
 
 
-def trapezoid_integral(g):
-    """Trapezoid rule integral of the grid values over its rectangle."""
-    dq, dp = _steps(g.spec)
-    return complex(np.trapezoid(np.trapezoid(g.values, dx=dp, axis=1), dx=dq))
-
-
 def gauss_legendre_2d(func, q_lo, q_hi, p_lo, p_hi, order=60):
     """Tensor Gauss-Legendre quadrature of func(P, Q) over a rectangle."""
     x, w = np.polynomial.legendre.leggauss(order)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import symbols as sym
 from . import transition
-from .errors import DegreeGuardError, SingularTimeError
+from .errors import BranchAmbiguityError, DegreeGuardError, SingularTimeError
 from .star import moyal_star, star_product
 from .symbols import Params
 
@@ -146,9 +146,11 @@ def damped_propagator(t, params=Params()):
 
     The square root (rather than a first power) on the bracket is forced
     by the transition-operator route and by the truncated star-exponential
-    oracle; see tests.  t may be complex at gamma = 0, where the bracket
-    is 1; a complex t at gamma > 0 raises ValueError, as the branch of
-    that square root off the real axis is not fixed.
+    oracle; see tests.  Where the bracket is real and negative that root
+    sits on its branch cut, and BranchAmbiguityError is raised, as the
+    transition-operator route does there.  t may be complex at gamma = 0,
+    where the bracket is 1; a complex t at gamma > 0 raises ValueError, as
+    the branch of that square root off the real axis is not fixed.
     """
     w, m, h, g = params.omega, params.m, params.hbar, params.gamma
     if g and complex(t).imag:
@@ -161,6 +163,10 @@ def damped_propagator(t, params=Params()):
     if abs(bracket) < TIME_SINGULARITY_TOL:
         raise SingularTimeError(
             f"1 + (2 gamma/omega) tan(omega t/2) vanishes near t = {t:g}")
+    if bracket.real < 0 and bracket.imag == 0:
+        raise BranchAmbiguityError(
+            f"1 + (2 gamma/omega) tan(omega t/2) = {bracket.real:.6g} is on "
+            f"the branch cut at t = {t:g}")
     tau = 2.0 * tn / (1j * h * w)
     pref = cmath.exp(0.5 * g * t) / (c * cmath.sqrt(bracket))
     return sym.gaussian(pref, app=tau / (2.0 * m * bracket),

@@ -5,10 +5,11 @@ A symbol is a finite sum of terms
     coeff * p^a * q^b * exp(app*p^2 + aqq*q^2 + apq*p*q + bp*p + bq*q)
 
 with complex coefficients throughout.  The class is closed under addition,
-pointwise multiplication, differentiation, complex conjugation and affine
-substitution of (q, p), which is everything the star-product machinery
-needs.  Symbols are immutable after normalization; every operation here is
-a pure function.
+pointwise multiplication, differentiation, complex conjugation and linear
+maps of (q, p).  This module holds the algebra and evaluation; linear maps
+act through the group kernel in star (via transition._image), for which
+taylor_image and affine_image here are the polynomial steps.  Symbols are
+immutable after normalization; every operation here is a pure function.
 """
 
 import cmath
@@ -148,6 +149,9 @@ class GridSpec:
     np: int
 
     def __post_init__(self):
+        bounds = (self.q_min, self.q_max, self.p_min, self.p_max)
+        if not all(math.isfinite(b) for b in bounds):
+            raise ValueError("grid bounds must be finite")
         if not (self.q_min < self.q_max and self.p_min < self.p_max):
             raise ValueError("grid bounds must satisfy min < max")
         if self.nq < 2 or self.np < 2:
@@ -425,25 +429,6 @@ def affine_image(P, L, s):
     return expand(P, 0)
 
 
-def substitute(f, L, shift=(0, 0)):
-    """The affine pullback x -> f(L x + shift), x = (q, p); exact in the class.
-
-    Each group's polynomial goes through affine_image, and its exponent
-    (A, b) goes by congruence to (L^T A L, L^T (2 A s + b)), the constant
-    s^T A s + b^T s moving into the coefficients.
-    """
-    L = np.asarray(L, dtype=np.complex128)
-    s = np.asarray(shift, dtype=np.complex128)
-    raw = []
-    for e, poly in exponent_groups(f).items():
-        A, b = e.quad_form()
-        expo = QuadExponent.from_quad_form(L.T @ A @ L, L.T @ (2 * A @ s + b))
-        c0 = cmath.exp(s @ A @ s + b @ s)
-        image = affine_image(poly, L, s)
-        raw.extend(Term(c0 * c, pp, pq, expo) for (pq, pp), c in image.items())
-    return normalize(raw)
-
-
 def evaluate(f, p, q):
     """Value of the symbol at a phase-space point (complex points allowed)."""
     if not (cmath.isfinite(p) and cmath.isfinite(q)):
@@ -578,13 +563,6 @@ class Comparison:
 
     def __bool__(self):
         return self.ok
-
-
-def sup_norm(f, spec=SAMPLE_SPEC):
-    if f.is_zero():
-        return 0.0
-    P, Q = spec.meshes()
-    return float(np.abs(evaluate_grid(f, P, Q)).max())
 
 
 def residual(f, g, spec=SAMPLE_SPEC):

@@ -8,13 +8,17 @@ instances:
     husimi(s)    C_qq = hbar s^2/2, C_pp = hbar/(2 s^2)
                                              maps moyal products to husimi ones
 
-The action on the symbol class is exact, one exponent group
+Every linear map on the symbol class goes through _image(f, C, L), which
+returns x -> [exp((1/2) grad^T C grad) f](L x): apply is _image(f, C, I),
+and dynamics uses it with C = 0 for flow pullbacks and with both parts for
+the exact naive flow.  It is exact, one exponent group
 P(q, p) exp(x^T A x + beta^T x), x = (q, p), at a time: P comes from
 symbols.exponent_groups as a {(pow_q, pow_p): coeff} dict and goes to
-star._group_image with d = 2, S = C and E = I.  That kernel forms and
+star._group_image with d = 2, S = C and E = L.  That kernel forms and
 guards K = I - 2CA and applies, with R = K^{-1} C, a terminating Taylor
-series in R on P composed with the affine map x -> K^{-1} x + R beta.
-A pure-polynomial group has K = I and R = C.
+series in R on P composed with the affine map x -> K^{-1} L x + R beta.
+A pure-polynomial group has K = I and R = C; C = 0 gives K = I and R = 0,
+the plain pullback f(L x).
 """
 
 from dataclasses import dataclass
@@ -62,15 +66,18 @@ def inverse(op):
     return DerivOperator(op.name, ((-cqq, -cqp), (-cpq, -cpp)), op.params)
 
 
-def apply(op, f):
-    """Image of a symbol under the transition operator; exact, per group."""
-    C = op.matrix()
-    eye = np.eye(2)
+def _image(f, C, L):
+    """x -> [exp((1/2) grad^T C grad) f](L x); exact, one group at a time."""
     raw = []
     for e, P in sym.exponent_groups(f).items():
         A, beta = e.quad_form()
-        raw += _group_image(P, A, beta, C, eye)
+        raw += _group_image(P, A, beta, C, L)
     return sym.normalize(raw)
+
+
+def apply(op, f):
+    """Image of a symbol under the transition operator."""
+    return _image(f, op.matrix(), np.eye(2))
 
 
 def check_equivalence(f, g, source, target, op):

@@ -506,6 +506,12 @@ EXIT_CASES = {
     "rk4 dt NaN": (2, "dt must be finite and positive",
                    lambda tmp, mp: _scenario_argv(
         tmp, {"initial": "q", "evolution": "rk4", "dt": math.nan})),
+    "grid bound Infinity": (2, "grid bounds must be finite",
+                            lambda tmp, mp: _scenario_argv(
+        tmp, {"initial": "q", "grid": {**GRID_3, "q_max": math.inf}})),
+    "grid flag infinite bound": (2, "grid bounds must be finite",
+                                 lambda tmp, mp: [
+        "grid", "q", "--grid=-6,inf,-6,6,5,5", "--out", str(tmp / "g.csv")]),
 }
 
 

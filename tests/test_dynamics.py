@@ -1,11 +1,12 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import starkit as sk
-from starkit import dynamics, numerics
+from starkit import dynamics, numerics, transition
 from starkit import symbols as sym
 from starkit.errors import PositivityError
 
@@ -140,7 +141,7 @@ def test_semigroup_property(rng):
 def test_damped_rhs_examples(rng):
     par0 = sym.Params(gamma=0.0)
     rho0 = sk.sho_wigner_eigenstate(0)
-    assert sym.sup_norm(dynamics.damped_rhs(rho0, par0)) < 1e-13
+    assert sym.residual(dynamics.damped_rhs(rho0, par0), sym.ZERO) < 1e-13
     for _ in range(10):
         g = float(rng.uniform(0, 0.4))
         par = sym.Params(gamma=g)
@@ -230,6 +231,27 @@ def test_evolve_naive_semigroup_and_round_trip(par):
         back = dynamics.evolve_naive(
             dynamics.evolve_naive(rho0, 1.3, par), -1.3, par)
         assert sym.residual(back, rho0) <= 1e-14
+
+
+@pytest.mark.parametrize("gamma", [0.1, 0.3])
+def test_evolve_naive_matches_two_pass_reference(gamma, rng):
+    # the two-pass form: the derivative exponential as a transition
+    # operator, then the pullback along the undamped flow
+    par = sym.Params(gamma=gamma)
+    m, w, k = par.m, par.omega, 1j * gamma * par.hbar
+    states = [sk.sho_wigner_eigenstate(n, par) for n in range(9)]
+    states += [random_symbol(rng, n_terms=3) for _ in range(5)]
+    for t in (-1.3, 0.7, 2.0):
+        c, s = math.cos(2 * w * t), math.sin(2 * w * t)
+        cqp = k * s / (2 * w)
+        op = transition.DerivOperator(
+            "naive", ((k * (c - 1) / (2 * m * w * w), cqp),
+                      (cqp, k * m * (1 - c) / 2)), par)
+        flow = dynamics.flow_map(-t, replace(par, gamma=0.0))
+        for rho in states:
+            two_pass = dynamics.pullback(transition.apply(op, rho), flow)
+            assert sym.approx_equal(dynamics.evolve_naive(rho, t, par),
+                                    two_pass, 1e-12)
 
 
 def test_evolve_naive_at_zero_gamma_is_classical(rng):

@@ -30,10 +30,10 @@ def test_sample_basics():
 
 def test_ground_state_normalization():
     par = sym.Params()
-    grid = numerics.sample(sk.sho_wigner_eigenstate(0, par),
-                           numerics.WIDE_SPEC)
-    integral = numerics.trapezoid_integral(grid)
-    assert abs(integral - 2 * math.pi * par.hbar) < 1e-4
+    rho0 = sk.sho_wigner_eigenstate(0, par)
+    integral = numerics.gauss_legendre_2d(
+        lambda P, Q: sym.evaluate_grid(rho0, P, Q), -8, 8, -8, 8, order=80)
+    assert abs(integral - 2 * math.pi * par.hbar) < 1e-12
 
 
 def test_grid_distance():

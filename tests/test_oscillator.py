@@ -7,7 +7,8 @@ import pytest
 import starkit as sk
 from starkit import symbols as sym
 from starkit import transition
-from starkit.errors import DegreeGuardError, SingularTimeError
+from starkit.errors import (BranchAmbiguityError, DegreeGuardError,
+                            SingularTimeError, StarkitError)
 
 
 def test_hamiltonian():
@@ -85,7 +86,8 @@ def test_ladder_algebra():
     # lowest-state annihilation: (abar * a) * rho_0 = 0
     rho0 = sk.sho_wigner_eigenstate(0, par)
     number_op = sk.star_product(abar, a, star)
-    assert sym.sup_norm(sk.star_product(number_op, rho0, star)) <= 1e-10
+    assert sym.residual(sk.star_product(number_op, rho0, star),
+                        sym.ZERO) <= 1e-10
     # pointwise H = hbar w abar a; with the star the half quantum appears
     H = sk.hamiltonian(par)
     hw = par.hbar * par.omega
@@ -227,6 +229,41 @@ def test_damped_propagator_second_singularity():
     t_sing = 2.0 * (math.pi + math.atan(-par.omega / (2 * par.gamma)))
     with pytest.raises(SingularTimeError):
         sk.damped_propagator(t_sing, par)
+
+
+def test_damped_propagator_raises_on_the_cut():
+    # 1 + (2 gamma/omega) tan(omega t/2) is real and negative here
+    par = sym.Params(gamma=0.3)
+    for t in (3.3, 4.0):
+        with pytest.raises(BranchAmbiguityError):
+            sk.damped_propagator(t, par)
+
+
+@pytest.mark.parametrize("gamma", [0.1, 0.3, 0.9])
+def test_propagator_routes_agree_or_both_raise(gamma):
+    par = sym.Params(gamma=gamma)
+    op = transition.damped_transition(gamma, par)
+
+    def image(t):
+        return sym.scale(transition.apply(op, sk.undamped_propagator(t, par)),
+                         cmath.exp(0.5 * gamma * t))
+
+    def outcome(route, t):
+        try:
+            return route(t)
+        except StarkitError:
+            return None
+
+    raised = 0
+    for t in np.linspace(0.0, 2 * math.pi, 120, endpoint=False):
+        closed = outcome(lambda s: sk.damped_propagator(s, par), t)
+        via_transition = outcome(image, t)
+        if closed is None or via_transition is None:
+            assert closed is None and via_transition is None, t
+            raised += 1
+        else:
+            assert sym.approx_equal(via_transition, closed, 1e-12), t
+    assert raised  # the sweep crosses the singular times and the cut
 
 
 def test_damped_eigenstate():

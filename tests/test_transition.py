@@ -5,7 +5,7 @@ import pytest
 
 import starkit as sk
 from starkit import symbols as sym
-from starkit import star, transition
+from starkit import dynamics, star, transition
 from starkit.errors import (BranchAmbiguityError, NonTerminatingError,
                             SingularGaussianError)
 
@@ -268,3 +268,34 @@ def test_apply_branch_ambiguity_guard():
     op = transition.husimi_transition(1.0)
     with pytest.raises(BranchAmbiguityError):
         transition.apply(op, sym.gaussian(1.0, aqq=2.0))
+
+
+def test_image_matches_evaluate_at_mapped_nodes():
+    # f(L x) with C = 0 and complex, non-diagonal L; exponents carry beta != 0
+    expo = sym.QuadExponent(app=-0.6 + 0.1j, aqq=-0.8, apq=0.2 - 0.1j,
+                            bp=0.3 - 0.2j, bq=-0.4 + 0.1j)
+    f = sym.normalize([sym.Term(1.0 - 0.5j, 2, 1, expo),
+                       sym.Term(0.7, 0, 3, expo),
+                       sym.Term(-0.2j, 1, 0, expo.conjugate()),
+                       sym.Term(0.4, 2, 2), sym.Term(1.5j, 0, 1)])
+    L = np.array([[0.9 + 0.1j, 0.2 - 0.1j], [-0.3 + 0.05j, 1.1 - 0.2j]])
+    g = transition._image(f, np.zeros((2, 2)), L)
+    nodes = np.random.default_rng(5).uniform(-2.0, 2.0, size=(20, 2))
+    for q, p in nodes:
+        yq, yp = L @ np.array([q, p])
+        want = sym.evaluate(f, complex(yp), complex(yq))
+        assert abs(sym.evaluate(g, p, q) - want) <= 1e-12 * (1 + abs(want))
+    # the identity map changes nothing
+    assert transition._image(f, np.zeros((2, 2)), np.eye(2)) == f
+
+
+def test_image_is_transition_then_pullback(rng):
+    op = transition.DerivOperator(
+        "mixed", ((0.3 - 0.1j, 0.2j), (0.2j, -0.25 + 0.05j)), sym.Params())
+    flow = dynamics.flow_map(0.9, sym.Params(gamma=0.2))
+    states = [sk.sho_wigner_eigenstate(4)]
+    states += [random_symbol(rng, n_terms=3) for _ in range(5)]
+    for f in states:
+        one_pass = transition._image(f, op.matrix(), flow.matrix())
+        two_pass = dynamics.pullback(transition.apply(op, f), flow)
+        assert sym.approx_equal(one_pass, two_pass, 1e-12)
