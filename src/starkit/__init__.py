@@ -5,9 +5,9 @@ propagators, and the corrected damped evolution equation, over the closed
 class of polynomial-times-Gaussian phase-space symbols.
 """
 
-from .dynamics import (FlowMap, damped_rhs, evolve_classical,
-                       evolve_damped_ansatz, evolve_eigenexpansion,
-                       evolve_naive, flow_map, moyal_rhs, naive_rhs, pullback,
+from .dynamics import (damped_rhs, evolve_classical, evolve_damped_ansatz,
+                       evolve_eigenexpansion, evolve_naive, flow_map,
+                       moyal_rhs, naive_map, naive_rhs, pullback,
                        reality_defect)
 from .expr import format_symbol, parse
 from .numerics import (PhaseGrid, export_grid, grid_distance, load_grid,
@@ -23,7 +23,7 @@ from .symbols import (GridSpec, Params, QuadExponent, Symbol, Term,
                       approx_equal, combine, conjugate, const, differentiate,
                       evaluate, evaluate_grid, gaussian, monomial, normalize,
                       pointwise_multiply, poly_symbol, residual, variable)
-from .transition import (DerivOperator, apply, check_equivalence,
+from .transition import (GaussianMap, apply, check_equivalence, compose,
                          damped_transition, husimi_distribution,
                          husimi_transition, inverse, standard_transition)
 

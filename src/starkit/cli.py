@@ -324,7 +324,3 @@ def main(argv=None):
 
 def entry():
     raise SystemExit(main())
-
-
-if __name__ == "__main__":
-    entry()

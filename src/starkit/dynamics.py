@@ -9,51 +9,41 @@ advection for the quadratic Hamiltonian, so the evolved state is the
 initial symbol composed with the backward classical flow.  The rejected
 (naive) commutator equation is kept as a falsification exhibit: its extra
 term i gamma hbar d_p d_q rho breaks reality for gamma > 0.  Both exact
-solutions are linear maps on the symbol class and go through
+solutions are transition.GaussianMap values and go through
 transition._image, one exponent group at a time: the corrected one is the
-pullback along the backward damped flow (derivative part C = 0), the naive
-one a derivative exponential then the undamped pullback, in one pass.
+pullback along the backward damped flow, flow_map(-t) = (0, L(-t)), the
+naive one the composition of a derivative exponential (C(t), I) with the
+undamped flow, applied in one pass.
 """
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from . import symbols as sym
-from .errors import PositivityError
+from .errors import NonFiniteError, PositivityError
 from .oscillator import energy, hamiltonian, sho_offdiagonal
 from .star import damped_ad, damped_star, star_commutator
 from .symbols import Params
-from .transition import _image
-
-
-@dataclass(frozen=True)
-class FlowMap:
-    """Linear damped flow on column (q, p): x(t) = L x(0)."""
-
-    L: tuple  # ((L_qq, L_qp), (L_pq, L_pp))
-    t: float
-    regime: str
-
-    def matrix(self):
-        return np.array(self.L, dtype=np.float64)
+from .transition import GaussianMap, _image, compose
 
 
 def flow_map(t, params=Params()):
-    """Exact solution map of qdot = p/m, pdot = -m w^2 q - 2 gamma p.
+    """Solution map (0, L(t)) of qdot = p/m, pdot = -m w^2 q - 2 gamma p.
 
     Underdamped uses Omega = sqrt(w^2 - g^2) sinusoids, overdamped the
     hyperbolic analogue, and within 1e-12 of g = w the critical formula;
     the three branches agree continuously across the boundaries.
     """
+    if not math.isfinite(t):
+        raise NonFiniteError("flow time must be finite")
     m, w, g = params.m, params.omega, params.gamma
-    regime = params.regime
     decay = math.exp(-g * t)
-    if regime == "critical":
+    if params.regime == "critical":
         s, c = t, 1.0
-    elif regime == "underdamped":
+    elif params.regime == "underdamped":
         om = math.sqrt(w * w - g * g)
         s, c = math.sin(om * t) / om, math.cos(om * t)
     else:
@@ -61,12 +51,12 @@ def flow_map(t, params=Params()):
         s, c = math.sinh(om * t) / om, math.cosh(om * t)
     L = ((decay * (c + g * s), decay * s / m),
          (-decay * m * w * w * s, decay * (c - g * s)))
-    return FlowMap(L, t, regime)
+    return GaussianMap(np.zeros((2, 2)), L)
 
 
 def pullback(rho, flow):
     """Substitute the linear map into the symbol: (rho o L)(x) = rho(L x)."""
-    return _image(rho, np.zeros((2, 2)), flow.matrix())
+    return _image(rho, flow)
 
 
 def evolve_classical(rho0, t, params=Params()):
@@ -74,21 +64,25 @@ def evolve_classical(rho0, t, params=Params()):
     return pullback(rho0, flow_map(-t, params))
 
 
-def evolve_naive(rho0, t, params=Params()):
-    """Exact solution of the rejected equation, d(rho)/dt = naive_rhs(rho).
+def naive_map(t, params=Params()):
+    """Solution map of the rejected equation, d(rho)/dt = naive_rhs(rho).
 
-    Its generator is the undamped flow L0 plus i gamma hbar d_p d_q, so
-    rho(t) = [exp((1/2) grad^T C grad) rho0] o L0(-t), where (k = i gamma
-    hbar, c = cos 2wt, s = sin 2wt) C_qq = k(c - 1)/(2 m w^2), C_qp = C_pq
+    Its generator is the undamped flow L0 plus i gamma hbar d_p d_q, so the
+    map is compose((C, I), (0, L0(-t))), where (k = i gamma hbar,
+    c = cos 2wt, s = sin 2wt) C_qq = k(c - 1)/(2 m w^2), C_qp = C_pq
     = k s/(2w) and C_pp = k m(1 - c)/2; exact for either sign of t.
     """
+    undamped = flow_map(-t, replace(params, gamma=0.0))  # rejects t = nan, inf
     m, w, k = params.m, params.omega, 1j * params.gamma * params.hbar
     c, s = math.cos(2 * w * t), math.sin(2 * w * t)
     cqp = k * s / (2 * w)
-    C = np.array([[k * (c - 1) / (2 * m * w * w), cqp],
-                  [cqp, k * m * (1 - c) / 2]])
-    undamped = flow_map(-t, replace(params, gamma=0.0))
-    return _image(rho0, C, undamped.matrix())
+    C = ((k * (c - 1) / (2 * m * w * w), cqp), (cqp, k * m * (1 - c) / 2))
+    return compose(GaussianMap(C, np.eye(2)), undamped)
+
+
+def evolve_naive(rho0, t, params=Params()):
+    """Exact solution of the rejected equation: the naive_map image of rho0."""
+    return _image(rho0, naive_map(t, params))
 
 
 def damped_rhs(rho, params=Params()):

@@ -13,7 +13,7 @@ Products are exact on the whole class.  With a pure-polynomial side the
 series terminates at its degree.  Otherwise, in the doubled space (y, z),
 exp(dL^T B dR) is exp((1/2) grad^T S grad) with S = [[0, B], [B^T, 0]]
 followed by y = z = x, and _group_image applies it per pair of groups.
-_group_image is the one Gaussian-group kernel: transition.apply calls it
+_group_image is the one Gaussian-group kernel: transition._image calls it
 with d = 2, and it alone forms, guards and inverts K = I - 2 S M.
 """
 
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symbols as sym
-from .errors import (BranchAmbiguityError, NonTerminatingError, NotEigenError,
-                     SingularGaussianError)
+from .errors import (BranchAmbiguityError, NonFiniteError, NonTerminatingError,
+                     NotEigenError, SingularGaussianError)
 from .symbols import Params, Term
 
 SINGULAR_TOL = 1e-12
@@ -36,6 +36,10 @@ class BilinearStar:
     name: str
     B: tuple  # ((B_qq, B_qp), (B_pq, B_pp)) over (d_q, d_p)
     params: Params
+
+    def __post_init__(self):
+        if not np.isfinite(self.matrix()).all():
+            raise NonFiniteError(f"{self.name} product has a non-finite entry")
 
     def matrix(self):
         return np.array(self.B, dtype=np.complex128)

@@ -1,24 +1,21 @@
-"""Transition operators exp((1/2) grad^T C grad) and c-equivalence checks.
+"""Linear maps on the symbol class: transition operators and linear flows.
 
-C is a symmetric 2x2 complex matrix over (d_q, d_p).  The shipped
-instances:
+GaussianMap(C, L) is f -> [exp((1/2) grad^T C grad) f] o L, with C a
+symmetric 2x2 complex matrix over (d_q, d_p) and L a 2x2 matrix on column
+(q, p).  The transition operators are (C, I):
 
     damped(g)    C_pp = -i*hbar*m*g          maps moyal products to damped ones
     standard     C_qp = C_pq = -i*hbar/2     maps standard products to moyal ones
     husimi(s)    C_qq = hbar s^2/2, C_pp = hbar/(2 s^2)
                                              maps moyal products to husimi ones
 
-Every linear map on the symbol class goes through _image(f, C, L), which
-returns x -> [exp((1/2) grad^T C grad) f](L x): apply is _image(f, C, I),
-and dynamics uses it with C = 0 for flow pullbacks and with both parts for
-the exact naive flow.  It is exact, one exponent group
-P(q, p) exp(x^T A x + beta^T x), x = (q, p), at a time: P comes from
-symbols.exponent_groups as a {(pow_q, pow_p): coeff} dict and goes to
-star._group_image with d = 2, S = C and E = L.  That kernel forms and
-guards K = I - 2CA and applies, with R = K^{-1} C, a terminating Taylor
-series in R on P composed with the affine map x -> K^{-1} L x + R beta.
-A pure-polynomial group has K = I and R = C; C = 0 gives K = I and R = 0,
-the plain pullback f(L x).
+and the flows of dynamics are (0, L).  As exp((1/2) grad^T C grad)(h o L)
+= (exp((1/2) grad^T L C L^T grad) h) o L, maps compose and invert in
+closed form.  _image applies a map exactly, one exponent group
+P(x) exp(x^T A x + beta^T x), x = (q, p), at a time: star._group_image
+with d = 2, S = C and E = L forms and guards K = I - 2CA and applies, with
+R = K^{-1} C, a terminating Taylor series in R on P composed with the
+affine map x -> K^{-1} L x + R beta.  C = 0 gives the pullback f(L x).
 """
 
 from dataclasses import dataclass
@@ -26,58 +23,76 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symbols as sym
-from .errors import NonTerminatingError
+from .errors import NonFiniteError, NonTerminatingError
 from .star import _group_image, star_product
 from .symbols import Params
 
 
-@dataclass(frozen=True)
-class DerivOperator:
-    name: str
-    C: tuple  # symmetric ((C_qq, C_qp), (C_pq, C_pp)) over (d_q, d_p)
-    params: Params
+@dataclass(frozen=True, eq=False)
+class GaussianMap:
+    """f -> [exp((1/2) grad^T C grad) f] o L; C, L read-only, equal by value."""
+
+    C: np.ndarray  # symmetric, over (d_q, d_p)
+    L: np.ndarray  # acting on column (q, p)
+
+    def __post_init__(self):
+        for name in ("C", "L"):
+            M = np.array(getattr(self, name))
+            if not np.isfinite(M).all():
+                raise NonFiniteError(f"map entry {name} is not finite")
+            M.flags.writeable = False
+            object.__setattr__(self, name, M)
+
+    def __eq__(self, other):
+        return (isinstance(other, GaussianMap) and np.array_equal(self.C, other.C)
+                and np.array_equal(self.L, other.L))
 
     def matrix(self):
-        return np.array(self.C, dtype=np.complex128)
+        """The linear part L."""
+        return self.L
 
 
 def damped_transition(gamma, params=Params()):
     c = -1j * params.hbar * params.m * gamma
-    return DerivOperator("damped", ((0j, 0j), (0j, c)), params)
+    return GaussianMap(((0j, 0j), (0j, c)), np.eye(2))
 
 
 def standard_transition(params=Params()):
     c = -0.5j * params.hbar
-    return DerivOperator("standard", ((0j, c), (c, 0j)), params)
+    return GaussianMap(((0j, c), (c, 0j)), np.eye(2))
 
 
 def husimi_transition(s, params=Params()):
     if s <= 0:
         raise ValueError("squeezing parameter s must be positive")
     h = params.hbar
-    return DerivOperator("husimi",
-                         ((0.5 * h * s * s, 0j), (0j, 0.5 * h / (s * s))),
-                         params)
+    return GaussianMap(((0.5 * h * s * s, 0j), (0j, 0.5 * h / (s * s))),
+                       np.eye(2))
+
+
+def compose(m1, m2):
+    """The map f -> image(m2, image(m1, f)): (C1 + L1 C2 L1^T, L1 L2)."""
+    return GaussianMap(m1.C + m1.L @ m2.C @ m1.L.T, m1.L @ m2.L)
 
 
 def inverse(op):
-    """Inverse operator: negate C."""
-    (cqq, cqp), (cpq, cpp) = op.C
-    return DerivOperator(op.name, ((-cqq, -cqp), (-cpq, -cpp)), op.params)
+    """The inverse map (-L^{-1} C L^{-T}, L^{-1})."""
+    Linv = np.linalg.inv(op.L)
+    return GaussianMap(-(Linv @ op.C @ Linv.T), Linv)
 
 
-def _image(f, C, L):
-    """x -> [exp((1/2) grad^T C grad) f](L x); exact, one group at a time."""
+def _image(f, m):
+    """[exp((1/2) grad^T C grad) f] o L; exact, one group at a time."""
     raw = []
     for e, P in sym.exponent_groups(f).items():
         A, beta = e.quad_form()
-        raw += _group_image(P, A, beta, C, L)
+        raw += _group_image(P, A, beta, m.C, m.L)
     return sym.normalize(raw)
 
 
 def apply(op, f):
-    """Image of a symbol under the transition operator."""
-    return _image(f, op.matrix(), np.eye(2))
+    """Image of a symbol under a map (a transition operator or any other)."""
+    return _image(f, op)
 
 
 def check_equivalence(f, g, source, target, op):

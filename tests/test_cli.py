@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -169,6 +172,18 @@ def test_verify_spectral_suite(capsys):
     short = [line for line in out.splitlines() if "n <= 60 sum" in line]
     assert len(short) == 2
     assert all("[PASS]" in line for line in short)
+
+
+def test_module_form_runs():
+    # python -m starkit is the console script without installation
+    src = str(Path(sk.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "starkit", "verify", "complexification"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert "verification PASSED" in proc.stdout
 
 
 def test_verify_unknown_suite(capsys):

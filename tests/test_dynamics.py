@@ -8,7 +8,7 @@ import pytest
 import starkit as sk
 from starkit import dynamics, numerics, transition
 from starkit import symbols as sym
-from starkit.errors import PositivityError
+from starkit.errors import NonFiniteError, PositivityError
 
 from conftest import random_symbol
 
@@ -53,9 +53,9 @@ def test_flow_map_against_pointwise_integration():
 def test_flow_map_regimes_and_continuity():
     for g, regime in ((0.2, "underdamped"), (1.0, "critical"),
                       (1.9, "overdamped")):
-        fm = sk.flow_map(1.3, sym.Params(gamma=g))
-        assert fm.regime == regime
-        det = np.linalg.det(fm.matrix())
+        par = sym.Params(gamma=g)
+        assert par.regime == regime
+        det = np.linalg.det(sk.flow_map(1.3, par).matrix())
         assert abs(det - math.exp(-2 * g * 1.3)) < 1e-12
     crit = sk.flow_map(1.3, sym.Params(gamma=1.0)).matrix()
     below = sk.flow_map(1.3, sym.Params(gamma=1.0 - 1e-9)).matrix()
@@ -65,10 +65,69 @@ def test_flow_map_regimes_and_continuity():
 
 
 def test_flow_map_group_property():
+    # flow(t) o flow(s) = flow(t + s), as matrices and as images
     par = sym.Params(gamma=0.3)
+    rho = sk.sho_wigner_eigenstate(4)
     for t1, t2 in [(0.5, 0.9), (1.0, -0.4)]:
-        LL = sk.flow_map(t1, par).matrix() @ sk.flow_map(t2, par).matrix()
-        assert np.abs(LL - sk.flow_map(t1 + t2, par).matrix()).max() <= 1e-10
+        both = transition.compose(sk.flow_map(t1, par), sk.flow_map(t2, par))
+        want = sk.flow_map(t1 + t2, par)
+        assert (both.C == 0).all()
+        assert np.abs(both.L - want.L).max() <= 1e-10
+        assert sym.approx_equal(sk.pullback(rho, both),
+                                sk.pullback(rho, want), 1e-10)
+
+
+def test_flow_inverse_round_trip(rng):
+    par = sym.Params(gamma=0.2)
+    for t in (0.9, -1.3, 2.0):
+        fm = sk.flow_map(t, par)
+        inv = transition.inverse(fm)
+        assert (inv.C == 0).all()
+        assert np.abs(inv.L - sk.flow_map(-t, par).L).max() <= 1e-14
+        for rho in (sk.sho_wigner_eigenstate(4), random_symbol(rng)):
+            back = sk.pullback(sk.pullback(rho, fm), inv)
+            assert sym.approx_equal(back, rho, 1e-13)
+
+
+def test_naive_semigroup_as_maps():
+    # m(t) o m(s) = m(t + s) for the naive solution maps at gamma = 0.3
+    par = sym.Params(gamma=0.3)
+    rho = sk.sho_wigner_eigenstate(4)
+    for t1, t2 in [(0.7, 1.1), (1.3, -0.4)]:
+        both = transition.compose(dynamics.naive_map(t1, par),
+                                  dynamics.naive_map(t2, par))
+        want = dynamics.naive_map(t1 + t2, par)
+        assert np.abs(both.C - want.C).max() <= 1e-15
+        assert np.abs(both.L - want.L).max() <= 1e-15
+        assert sym.approx_equal(transition.apply(both, rho),
+                                dynamics.evolve_naive(rho, t1 + t2, par),
+                                1e-13)
+
+
+@pytest.mark.parametrize("gamma, t", [(0.1, 3.0), (0.2, 3.0), (0.5, 1.0),
+                                      (0.2, -1.0), (1.6, 0.2)])
+def test_classical_evolution_decays_the_trace(gamma, t):
+    # the corrected equation does not conserve the trace: det L(t) = e^{-2 g t}
+    par = sym.Params(gamma=gamma)
+    rho = dynamics.evolve_classical(sk.sho_wigner_eigenstate(3, par), t, par)
+    total = numerics.gauss_legendre_2d(
+        lambda P, Q: sym.evaluate_grid(rho, P, Q), -12, 12, -12, 12,
+        order=160)
+    det = np.linalg.det(sk.flow_map(t, par).L)
+    assert abs(det - math.exp(-2 * gamma * t)) <= 1e-12 * det
+    assert abs(total - 2 * math.pi * math.exp(-2 * gamma * t)) <= 1e-12
+
+
+@pytest.mark.parametrize("call", [
+    lambda: dynamics.evolve_naive(sk.sho_wigner_eigenstate(2), math.nan),
+    lambda: dynamics.evolve_naive(sk.sho_wigner_eigenstate(2), math.inf),
+    lambda: dynamics.evolve_classical(sk.sho_wigner_eigenstate(2), -math.inf),
+    lambda: sk.flow_map(math.nan),
+], ids=["evolve_naive nan", "evolve_naive inf", "evolve_classical -inf",
+        "flow_map nan"])
+def test_non_finite_time_raises(call):
+    with pytest.raises(NonFiniteError):
+        call()
 
 
 def test_pullback(rng):
@@ -244,9 +303,9 @@ def test_evolve_naive_matches_two_pass_reference(gamma, rng):
     for t in (-1.3, 0.7, 2.0):
         c, s = math.cos(2 * w * t), math.sin(2 * w * t)
         cqp = k * s / (2 * w)
-        op = transition.DerivOperator(
-            "naive", ((k * (c - 1) / (2 * m * w * w), cqp),
-                      (cqp, k * m * (1 - c) / 2)), par)
+        op = transition.GaussianMap(
+            ((k * (c - 1) / (2 * m * w * w), cqp), (cqp, k * m * (1 - c) / 2)),
+            np.eye(2))
         flow = dynamics.flow_map(-t, replace(par, gamma=0.0))
         for rho in states:
             two_pass = dynamics.pullback(transition.apply(op, rho), flow)

@@ -5,8 +5,8 @@ import pytest
 
 import starkit as sk
 from starkit import symbols as sym
-from starkit.errors import (BranchAmbiguityError, NonTerminatingError,
-                            SingularGaussianError)
+from starkit.errors import (BranchAmbiguityError, NonFiniteError,
+                            NonTerminatingError, SingularGaussianError)
 
 from conftest import random_polynomial, random_symbol
 
@@ -232,6 +232,15 @@ def test_branch_ambiguity_guard():
     g = sym.gaussian(1.0, app=-2.0)
     with pytest.raises(BranchAmbiguityError):
         sk.star_product(f, g, sk.moyal_star())
+
+
+@pytest.mark.parametrize("make", [lambda: sk.husimi_star(float("nan")),
+                                  lambda: sk.damped_star(float("nan"))],
+                         ids=["husimi nan", "damped nan"])
+def test_non_finite_product_raises(make):
+    g = sym.gaussian(1.0, app=-0.5, aqq=-0.5)
+    with pytest.raises(NonFiniteError):
+        sk.star_product(g, g, make())
 
 
 def test_gaussian_pair_sum_bilinearity():

@@ -6,20 +6,23 @@ import pytest
 import starkit as sk
 from starkit import symbols as sym
 from starkit import dynamics, star, transition
-from starkit.errors import (BranchAmbiguityError, NonTerminatingError,
-                            SingularGaussianError)
+from starkit.errors import (BranchAmbiguityError, NonFiniteError,
+                            NonTerminatingError, SingularGaussianError)
 
 from conftest import random_polynomial, random_symbol
 
 
 def test_matrices():
     par = sym.Params(hbar=0.5, m=2.0)
-    C = transition.damped_transition(0.3, par).matrix()
+    C = transition.damped_transition(0.3, par).C
     assert C[1, 1] == -1j * 0.5 * 2.0 * 0.3 and C[0, 0] == 0
-    C = transition.standard_transition(par).matrix()
+    C = transition.standard_transition(par).C
     assert C[0, 1] == C[1, 0] == -0.25j
-    C = transition.husimi_transition(2.0, par).matrix()
+    C = transition.husimi_transition(2.0, par).C
     assert C[0, 0] == 0.5 * 0.5 * 4.0 and C[1, 1] == 0.5 * 0.5 / 4.0
+    op = transition.husimi_transition(2.0, par)
+    assert op == transition.GaussianMap(C, np.eye(2))
+    assert op != transition.husimi_transition(1.0)
 
 
 def test_hamiltonian_complexification():
@@ -56,7 +59,7 @@ def test_ground_state_image_matches_closed_form_value():
 def test_inverse():
     op = transition.damped_transition(0.2)
     inv = transition.inverse(op)
-    assert inv.matrix()[1, 1] == -op.matrix()[1, 1]
+    assert inv.C[1, 1] == -op.C[1, 1]
     # inverse of damped(g) acts like damped(-g)
     H = sk.hamiltonian()
     shifted = transition.apply(op, H)
@@ -279,23 +282,78 @@ def test_image_matches_evaluate_at_mapped_nodes():
                        sym.Term(-0.2j, 1, 0, expo.conjugate()),
                        sym.Term(0.4, 2, 2), sym.Term(1.5j, 0, 1)])
     L = np.array([[0.9 + 0.1j, 0.2 - 0.1j], [-0.3 + 0.05j, 1.1 - 0.2j]])
-    g = transition._image(f, np.zeros((2, 2)), L)
+    g = transition.apply(transition.GaussianMap(np.zeros((2, 2)), L), f)
     nodes = np.random.default_rng(5).uniform(-2.0, 2.0, size=(20, 2))
     for q, p in nodes:
         yq, yp = L @ np.array([q, p])
         want = sym.evaluate(f, complex(yp), complex(yq))
         assert abs(sym.evaluate(g, p, q) - want) <= 1e-12 * (1 + abs(want))
     # the identity map changes nothing
-    assert transition._image(f, np.zeros((2, 2)), np.eye(2)) == f
+    assert transition.apply(
+        transition.GaussianMap(np.zeros((2, 2)), np.eye(2)), f) == f
 
 
 def test_image_is_transition_then_pullback(rng):
-    op = transition.DerivOperator(
-        "mixed", ((0.3 - 0.1j, 0.2j), (0.2j, -0.25 + 0.05j)), sym.Params())
+    C = ((0.3 - 0.1j, 0.2j), (0.2j, -0.25 + 0.05j))
+    op = transition.GaussianMap(C, np.eye(2))
     flow = dynamics.flow_map(0.9, sym.Params(gamma=0.2))
     states = [sk.sho_wigner_eigenstate(4)]
     states += [random_symbol(rng, n_terms=3) for _ in range(5)]
     for f in states:
-        one_pass = transition._image(f, op.matrix(), flow.matrix())
+        one_pass = transition.apply(transition.GaussianMap(C, flow.L), f)
         two_pass = dynamics.pullback(transition.apply(op, f), flow)
         assert sym.approx_equal(one_pass, two_pass, 1e-12)
+
+
+def test_transitions_compose_by_adding_gamma():
+    # T_g o T_g' = T_{g + g'}: C adds, L stays I
+    par = sym.Params(hbar=0.7, m=1.3)
+    for g1, g2 in ((0.1, 0.25), (0.3, -0.3), (0.05, 0.4)):
+        both = transition.compose(transition.damped_transition(g1, par),
+                                  transition.damped_transition(g2, par))
+        want = transition.damped_transition(g1 + g2, par)
+        assert np.abs(both.C - want.C).max() <= 1e-15
+        assert (both.L == np.eye(2)).all()
+        for f in (sk.sho_wigner_eigenstate(4, par), sk.hamiltonian(par)):
+            assert sym.approx_equal(transition.apply(both, f),
+                                    transition.apply(want, f), 1e-13)
+
+
+def _mixed_map(rng):
+    """Complex symmetric C of size about 0.05 and complex L near I."""
+    c = 0.05 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    L = np.eye(2) + 0.1 * (rng.standard_normal((2, 2))
+                           + 1j * rng.standard_normal((2, 2)))
+    return transition.GaussianMap(c + c.T, L)
+
+
+def test_image_of_composition_is_image_of_image(rng):
+    states = [sk.sho_wigner_eigenstate(4)]
+    states += [random_symbol(rng, n_terms=3) for _ in range(5)]
+    for f in states:
+        m1, m2 = _mixed_map(rng), _mixed_map(rng)
+        one_pass = transition.apply(transition.compose(m1, m2), f)
+        two_pass = transition.apply(m2, transition.apply(m1, f))
+        assert sym.approx_equal(one_pass, two_pass, 1e-12)
+
+
+def test_inverse_undoes_a_general_map(rng):
+    for f in [sk.sho_wigner_eigenstate(4)] + [random_symbol(rng)
+                                              for _ in range(5)]:
+        m = _mixed_map(rng)
+        ident = transition.compose(m, transition.inverse(m))
+        assert np.abs(ident.C).max() <= 1e-15
+        assert np.abs(ident.L - np.eye(2)).max() <= 1e-15
+        back = transition.apply(transition.inverse(m), transition.apply(m, f))
+        assert sym.approx_equal(back, f, 1e-12)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: transition.damped_transition(float("nan")),
+    lambda: transition.husimi_transition(float("nan")),
+    lambda: transition.husimi_transition(float("inf")),
+    lambda: transition.GaussianMap(np.zeros((2, 2)), [[1.0, np.inf], [0, 1]]),
+], ids=["damped nan", "husimi nan", "husimi inf", "infinite L"])
+def test_non_finite_map_raises(make):
+    with pytest.raises(NonFiniteError):
+        make()
