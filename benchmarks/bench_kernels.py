@@ -15,10 +15,17 @@
   `dynamics.pullback` along the damped flow at t = 1 of the Wigner state
   and of a three-group class member (the group kernel once per group), and
   `dynamics.evolve_naive` of the Wigner state at gamma = 0.2, t = 1.
-- `star_product` on a damped (gamma = 0.1) pair of pure Gaussians and on
-  H star rho_6 (the series path), on the moyal rho_3 star rho_3 (the
-  group formula in doubled phase space), and on a pair of two-group
-  Gaussian sums under each of the four products (four group pairs).
+- `star_product` on a damped (gamma = 0.1) pair of pure Gaussians, on the
+  moyal rho_3 star rho_3 (the group formula in doubled phase space), and
+  on a pair of two-group Gaussian sums under each of the four products
+  (four group pairs).
+- The series path (`series_cases`): poly6 star poly6 and poly4 star a
+  two-term class member (seeded `verify` draws) under each of the four
+  products, damped H star rho_6 and rho_6 star H, `star_exp_truncated` of
+  -0.1i H under the damped product to order 12, and the husimi
+  `star_series_oracle` of the class member and a Gaussian at N = 12 on
+  the 9x9 sample lattice (its divergence warning silenced: N = 12 is a
+  timing input).
 - `normalize` on the terms of the Wigner state n = 24 repeated three
   times (975 raw terms, one exponent), and `parse` of its printed form.
 - `export_grid` (CSV and JSON) and `load_grid` on `WIDE_SPEC` of the
@@ -36,12 +43,14 @@ Each line reports the median and the minimum of several repeats.
 """
 
 import contextlib
+import importlib
 import io
 import json
 import os
 import statistics
 import tempfile
 import time
+import warnings
 
 import numpy as np
 
@@ -49,6 +58,7 @@ import starkit as sk
 from starkit import dynamics, numerics, oscillator, transition
 from starkit import symbols as sym
 from starkit.cli import main
+from starkit.errors import DivergenceWarning
 from starkit.expr import format_symbol, parse
 from starkit.numerics import WIDE_SPEC
 
@@ -164,14 +174,11 @@ def bench_products():
     moyal = sk.moyal_star()
     f = sym.gaussian(1.0 + 0.3j, app=-0.4, aqq=-0.3, apq=0.1, bp=0.15)
     g = sym.gaussian(0.8, app=-0.35, aqq=-0.5, bq=-0.2j)
-    H = sk.hamiltonian()
     rho3 = sk.sho_wigner_eigenstate(3)
-    rho6 = sk.sho_wigner_eigenstate(6)
     f2, g2 = gaussian_sum(0.5, 0.4), gaussian_sum(0.3, 0.6)
     print("star_product")
     for label, args in (
             ("damped(0.1), Gaussian pair", (f, g, damped)),
-            ("damped(0.1), H * rho_6", (H, rho6, damped)),
             ("moyal, rho_3 * rho_3", (rho3, rho3, moyal)),
             ("moyal, two-group Gaussian sums", (f2, g2, moyal)),
             ("damped(0.1), two-group Gaussian sums", (f2, g2, damped)),
@@ -181,6 +188,45 @@ def bench_products():
              (f2, g2, sk.husimi_star(1.0)))):
         med, best, _ = timeit(lambda: sk.star_product(*args), 7)
         report(label, med, best)
+
+
+def series_cases(pkg, seed=22):
+    """(label, call) rows of the series path, built from the package pkg
+    (starkit, or another copy of it imported under a second name) with
+    the seeded draws of its verify suites."""
+    rng = np.random.default_rng(seed)
+    draw = importlib.import_module(pkg.__name__ + ".verify")
+    p6a, p6b, p4 = (draw._random_polynomial(rng, d, n)
+                    for d, n in ((6, 8), (6, 8), (4, 6)))
+    member = draw._random_symbol(rng)
+    damped = pkg.damped_star(0.1)
+    H, rho6 = pkg.hamiltonian(), pkg.sho_wigner_eigenstate(6)
+    rows = []
+    for star in (pkg.moyal_star(), damped, pkg.standard_star(),
+                 pkg.husimi_star(1.0)):
+        rows.append((f"{star.name}, poly6 * poly6",
+                     lambda s=star: pkg.star_product(p6a, p6b, s)))
+        rows.append((f"{star.name}, poly4 * member",
+                     lambda s=star: pkg.star_product(p4, member, s)))
+    gauss = pkg.gaussian(1.0, app=-0.25, aqq=-0.3, bq=0.2)
+    spec = pkg.GridSpec(-3.0, 3.0, -3.0, 3.0, 9, 9)
+    return rows + [
+        ("damped, H * rho_6", lambda: pkg.star_product(H, rho6, damped)),
+        ("damped, rho_6 * H", lambda: pkg.star_product(rho6, H, damped)),
+        ("damped, star_exp_truncated(-0.1i H, 12)",
+         lambda: pkg.star_exp_truncated(-0.1j * H, damped, 12)),
+        ("husimi oracle, member * Gaussian, N = 12",
+         lambda: pkg.star_series_oracle(member, gauss, pkg.husimi_star(1.0),
+                                        12, spec))]
+
+
+def bench_series():
+    print("series path")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DivergenceWarning)
+        for label, call in series_cases(sk):
+            med, best, _ = timeit(call, 7)
+            report(label, med, best)
 
 
 def bench_algebra(n=24):
@@ -249,6 +295,7 @@ if __name__ == "__main__":
     bench_rk4_ops()
     bench_maps()
     bench_products()
+    bench_series()
     bench_algebra()
     bench_grid_io()
     bench_readme_scenario()

@@ -23,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import symbols as sym
-from .errors import NonFiniteError, PositivityError
+from .errors import ExponentOverflowError, NonFiniteError, PositivityError
 from .oscillator import energy, hamiltonian, sho_offdiagonal
 from .star import damped_ad, damped_star, star_commutator
 from .symbols import Params
@@ -35,23 +35,28 @@ def flow_map(t, params=Params()):
 
     Underdamped uses Omega = sqrt(w^2 - g^2) sinusoids, overdamped the
     hyperbolic analogue, and within 1e-12 of g = w the critical formula;
-    the three branches agree continuously across the boundaries.
+    the three branches agree continuously across the boundaries.  An entry
+    past the double range raises ExponentOverflowError.
     """
     if not math.isfinite(t):
         raise NonFiniteError("flow time must be finite")
     m, w, g = params.m, params.omega, params.gamma
-    decay = math.exp(-g * t)
-    if params.regime == "critical":
-        s, c = t, 1.0
-    elif params.regime == "underdamped":
-        om = math.sqrt(w * w - g * g)
-        s, c = math.sin(om * t) / om, math.cos(om * t)
-    else:
-        om = math.sqrt(g * g - w * w)
-        s, c = math.sinh(om * t) / om, math.cosh(om * t)
-    L = ((decay * (c + g * s), decay * s / m),
-         (-decay * m * w * w * s, decay * (c - g * s)))
-    return GaussianMap(np.zeros((2, 2)), L)
+    try:
+        decay = math.exp(-g * t)
+        if params.regime == "critical":
+            s, c = t, 1.0
+        elif params.regime == "underdamped":
+            om = math.sqrt(w * w - g * g)
+            s, c = math.sin(om * t) / om, math.cos(om * t)
+        else:
+            om = math.sqrt(g * g - w * w)
+            s, c = math.sinh(om * t) / om, math.cosh(om * t)
+        L = ((decay * (c + g * s), decay * s / m),
+             (-decay * m * w * w * s, decay * (c - g * s)))
+        return GaussianMap(np.zeros((2, 2)), L)
+    except (OverflowError, NonFiniteError) as exc:  # t is finite here
+        raise ExponentOverflowError(f"flow map at t = {t:g} overflows "
+                                    "double precision") from exc
 
 
 def pullback(rho, flow):

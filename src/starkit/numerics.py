@@ -1,13 +1,12 @@
 """Grid sampling, independent numerical oracles, and data export.
 
 The symbolic path is authoritative everywhere; the routines here exist to
-check it from the outside: a term-by-term star series evaluated on a grid
-(no shared code with the closed-form Gaussian star), classical RK4
+check it from the outside: the star series of star._series_orders summed
+on a grid (no shared code with the closed-form Gaussian star), classical RK4
 advection with 4th-order stencils, Gauss-Legendre quadrature for overlap
 and smoothing integrals, and deterministic CSV/JSON grid export.
 """
 
-import functools
 import json
 import warnings
 from dataclasses import dataclass
@@ -17,6 +16,7 @@ import numpy as np
 from . import symbols as sym
 from .errors import (CFLWarning, DivergenceWarning, NonFiniteError,
                      SpecMismatchError)
+from .star import _series_orders
 from .symbols import GridSpec, Params
 
 # Wide lattice for integrals and grid evolution; shipped Gaussians decay
@@ -71,32 +71,26 @@ def gauss_legendre_2d(func, q_lo, q_hi, p_lo, p_hi, order=60):
 def star_series_oracle(f, g, star, N, spec):
     """Grid evaluation of the truncated bidifferential series of f star g.
 
-    Computes sum_{n<=N} (1/n!) (f dL^T B dR)^n g term-by-term with symbolic
-    derivatives sampled on the grid; independent of the closed-form
-    Gaussian star path, so agreement with it is evidence.  Warns when the
-    last retained order is not yet negligible.
+    Sums the orders n <= N (an integer, at most 40) of star._series_orders
+    with each symbolic derivative sampled on the grid once; independent of
+    the closed-form Gaussian star path, so agreement with it is evidence.
+    Warns when the last retained order is not yet negligible.
     """
-    if N > 40:
-        raise ValueError("truncation order capped at 40")
-    from .star import _DerivCache, _series_terms  # series helpers only
-
-    B = star.matrix()
+    if not isinstance(N, (int, np.integer)) or not 0 <= N <= 40:
+        raise ValueError("truncation order must be an integer in [0, 40]")
     P, Q = spec.meshes()
-    df = _DerivCache(f)
-    dg = _DerivCache(g)
+    grids = {}  # by id(): the generator's tables keep each derivative alive
 
-    @functools.lru_cache(maxsize=None)  # one sample per derivative
-    def on_grid(side, orders):
-        return sym.evaluate_grid((df, dg)[side].get(*orders), P, Q)
+    def on_grid(d):
+        if id(d) not in grids:
+            grids[id(d)] = sym.evaluate_grid(d, P, Q)
+        return grids[id(d)]
 
     total = np.zeros(P.shape, dtype=np.complex128)
-    last = 0.0
-    for n in range(N + 1):
+    for order in _series_orders(f, g, star.matrix(), N):
         order_vals = np.zeros(P.shape, dtype=np.complex128)
-        for c, left, right in _series_terms(B, n):
-            if df.get(*left).is_zero() or dg.get(*right).is_zero():
-                continue
-            order_vals += c * (on_grid(0, left) * on_grid(1, right))
+        for c, left, right in order:
+            order_vals += c * (on_grid(left) * on_grid(right))
         total += order_vals
         last = float(np.abs(order_vals).max())
     ref = float(np.abs(total).max())

@@ -10,15 +10,16 @@ the right by dR.  Four configurations of one engine:
     husimi(s)  moyal + (hbar/2) diag(s^2, 1/s^2)
 
 Products are exact on the whole class.  With a pure-polynomial side the
-series terminates at its degree.  Otherwise, in the doubled space (y, z),
-exp(dL^T B dR) is exp((1/2) grad^T S grad) with S = [[0, B], [B^T, 0]]
-followed by y = z = x, and _group_image applies it per pair of groups.
-_group_image is the one Gaussian-group kernel: transition._image calls it
-with d = 2, and it alone forms, guards and inverts K = I - 2 S M.
+series terminates at its degree; one generator, _series_orders, yields it
+order by order to _series_star and to numerics.star_series_oracle.
+Otherwise, in the doubled space (y, z), exp(dL^T B dR) is
+exp((1/2) grad^T S grad) with S = [[0, B], [B^T, 0]] followed by y = z = x,
+and _group_image, the one Gaussian-group kernel (transition._image calls it
+with d = 2), applies it per pair of groups, alone forming, guarding and
+inverting K = I - 2 S M.
 """
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,52 +87,49 @@ def bracket(f, g, gamma, params=Params()):
     return out
 
 
-def _series_terms(B, n):
-    """(coeff, left orders, right orders) of the order-n part of exp(dL^T B dR).
+def _series_orders(f, g, B, n_max):
+    """Per order n <= n_max, the list of nonzero terms
+    (c, d_q^a d_p^b f, d_q^c d_p^d g) of exp(dL^T B dR), each pair once.
 
-    One entry per multi-index (k_qq, k_qp, k_pq, k_pp) with sum n and
-    nonzero coefficient prod B_ij^k_ij / k_ij!; the orders are the
-    (d_q, d_p) derivative counts on the left and the right factor.
+    c is the coefficient of x_q^a x_p^b y_q^c y_p^d in (x^T B y)^n / n!: the
+    sum over nonzero B_ij of B_ij / n times the order-(n-1) coefficient one
+    x_i and one y_j lower.  A pair with a zero derivative is dropped with
+    its descendants, so a polynomial side stops at its degree.
     """
-    for kqq in range(n + 1):
-        for kqp in range(n + 1 - kqq):
-            for kpq in range(n + 1 - kqq - kqp):
-                kpp = n - kqq - kqp - kpq
-                c = 1.0 + 0j
-                for (i, j), k in zip(((0, 0), (0, 1), (1, 0), (1, 1)),
-                                     (kqq, kqp, kpq, kpp)):
-                    if k:
-                        c *= B[i][j] ** k / math.factorial(k)
-                if c == 0:
-                    continue
-                yield c, (kqq + kqp, kpq + kpp), (kqq + kpq, kqp + kpp)
+    entries = [(i, j, complex(B[i][j])) for i in (0, 1) for j in (0, 1)
+               if B[i][j]]
+    tables = ({(0, 0): f}, {(0, 0): g})
 
+    def deriv(side, oq, op_):  # d_p^op_ d_q^oq, the d_q's taken first
+        if (oq, op_) not in tables[side]:
+            var, lower = ("p", (oq, op_ - 1)) if op_ else ("q", (oq - 1, 0))
+            tables[side][oq, op_] = sym.differentiate(deriv(side, *lower), var)
+        return tables[side][oq, op_]
 
-class _DerivCache:
-    def __init__(self, f):
-        self.table = {(0, 0): f}
-
-    def get(self, oq, op_):
-        key = (oq, op_)
-        if key not in self.table:
-            if op_ > 0:
-                self.table[key] = sym.differentiate(self.get(oq, op_ - 1), "p")
-            else:
-                self.table[key] = sym.differentiate(self.get(oq - 1, 0), "q")
-        return self.table[key]
+    coeffs = {((0, 0), (0, 0)): 1.0 + 0j}
+    for n in range(n_max + 1):
+        if n:
+            step = {}
+            for ((a, b), (c, d)), x in coeffs.items():
+                for i, j, bij in entries:
+                    key = (a + 1 - i, b + i), (c + 1 - j, d + j)
+                    step[key] = step.get(key, 0) + x * bij / n
+            coeffs = step
+        order = []
+        for key, x in list(coeffs.items()):
+            left, right = deriv(0, *key[0]), deriv(1, *key[1])
+            if left.is_zero() or right.is_zero():
+                del coeffs[key]
+            elif x != 0:
+                order.append((x, left, right))
+        yield order
 
 
 def _series_star(f, g, B, n_max):
     """Exact finite series sum_{n<=n_max} (1/n!) (f dL^T B dR)^n g."""
-    df = _DerivCache(f)
-    dg = _DerivCache(g)
     raw = []
-    for n in range(n_max + 1):
-        for c, left, right in _series_terms(B, n):
-            left = df.get(*left)
-            right = dg.get(*right)
-            if left.is_zero() or right.is_zero():
-                continue
+    for order in _series_orders(f, g, B, n_max):
+        for c, left, right in order:
             prod = sym.pointwise_multiply(left, right)
             raw.extend(Term(t.coeff * c, t.pow_p, t.pow_q, t.expo)
                        for t in prod.terms)

@@ -527,6 +527,8 @@ EXIT_CASES = {
     "grid flag infinite bound": (2, "grid bounds must be finite",
                                  lambda tmp, mp: [
         "grid", "q", "--grid=-6,inf,-6,6,5,5", "--out", str(tmp / "g.csv")]),
+    "flow overflow": (4, "overflows", lambda tmp, mp: _scenario_argv(
+        tmp, {"initial": "q", "params": {"gamma": 0.1}, "times": [1e4]})),
 }
 
 

@@ -8,7 +8,8 @@ import pytest
 import starkit as sk
 from starkit import dynamics, numerics, transition
 from starkit import symbols as sym
-from starkit.errors import NonFiniteError, PositivityError
+from starkit.errors import (ExponentOverflowError, NonFiniteError,
+                            PositivityError)
 
 from conftest import random_symbol
 
@@ -127,6 +128,19 @@ def test_classical_evolution_decays_the_trace(gamma, t):
         "flow_map nan"])
 def test_non_finite_time_raises(call):
     with pytest.raises(NonFiniteError):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sk.flow_map(-1e4, sym.Params(gamma=0.1)),
+    lambda: sk.flow_map(-800.0, sym.Params(gamma=1.0)),
+    lambda: sk.flow_map(-400.0, sym.Params(gamma=1.6)),
+    lambda: sk.evolve_classical(sk.sho_wigner_eigenstate(2), 1e4,
+                                sym.Params(gamma=0.1)),
+], ids=["underdamped exp", "critical exp", "overdamped product",
+        "evolve_classical"])
+def test_overflowing_flow_raises(call):
+    with pytest.raises(ExponentOverflowError):
         call()
 
 

@@ -132,6 +132,15 @@ def test_series_oracle_divergence_warning():
                                     sym.SAMPLE_SPEC)
 
 
+@pytest.mark.parametrize("N", [-1, 2.5, 41], ids=["negative", "fractional",
+                                                "above the cap"])
+def test_series_oracle_rejects_bad_order(N):
+    rho0 = sk.sho_wigner_eigenstate(0)
+    with pytest.raises(ValueError, match="truncation order"):
+        numerics.star_series_oracle(rho0, rho0, sk.moyal_star(), N,
+                                    sym.SAMPLE_SPEC)
+
+
 def test_rk4_zero_field_is_identity():
     par = sym.Params(omega=1e-9, m=1e9)  # advection speeds ~ 0
     spec = sym.GridSpec(-2.0, 2.0, -2.0, 2.0, 21, 21)

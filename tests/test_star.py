@@ -1,4 +1,6 @@
 import cmath
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import starkit as sk
 from starkit import symbols as sym
 from starkit.errors import (BranchAmbiguityError, NonFiniteError,
                             NonTerminatingError, SingularGaussianError)
+from starkit.star import _series_orders
 
 from conftest import random_polynomial, random_symbol
 
@@ -124,6 +127,61 @@ def test_hw_phase_frozen_values():
                - cmath.exp(-1j * par.hbar)) < 1e-12
     assert abs(sk.hw_phase(1, 0, 1, 0, 0.2, sym.Params(gamma=0.2))
                - cmath.exp(-0.4j)) < 1e-12
+
+
+def _multi_index_coefficients(B, n):
+    """Order-n coefficients of exp(dL^T B dR), one multi-index at a time.
+
+    Each (k_qq, k_qp, k_pq, k_pp) with sum n adds prod B_ij^k_ij / k_ij! to
+    its (left, right) derivative orders; returns {orders: (sum, sum of
+    moduli)} over the orders with a nonzero term.
+    """
+    out = {}
+    for k in itertools.product(range(n + 1), repeat=4):
+        if sum(k) != n:
+            continue
+        c = 1.0 + 0j
+        for (i, j), kij in zip(((0, 0), (0, 1), (1, 0), (1, 1)), k):
+            c *= B[i][j] ** kij / math.factorial(kij)
+        if c != 0:
+            key = (k[0] + k[1], k[2] + k[3]), (k[0] + k[2], k[1] + k[3])
+            total, size = out.get(key, (0j, 0.0))
+            out[key] = (total + c, size + abs(c))
+    return out
+
+
+def test_series_orders_match_multi_index_formula():
+    rng = np.random.default_rng(2201)
+    par = sym.Params(gamma=0.3)
+    matrices = [star.matrix() for star in (
+        sk.moyal_star(par), sk.damped_star(0.3, par), sk.standard_star(par),
+        sk.husimi_star(0.7, par))]
+    matrices.append(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    # q^8 p^8 on both sides: a derivative d_q^a d_p^b (a + b <= 8) is one
+    # nonzero term whose powers give (a, b) and whose coefficient is known
+    mono = sym.monomial(1.0, 8, 8)
+
+    def orders(d):
+        (t,) = d.terms
+        a, b = 8 - t.pow_q, 8 - t.pow_p
+        scale = (math.factorial(8) ** 2
+                 / (math.factorial(t.pow_q) * math.factorial(t.pow_p)))
+        assert t.coeff == scale
+        return a, b
+
+    for B in matrices:
+        series = list(_series_orders(mono, mono, B, 8))
+        assert len(series) == 9
+        for n, order in enumerate(series):
+            got = {}
+            for c, left, right in order:
+                key = orders(left), orders(right)
+                assert key not in got and c != 0
+                got[key] = c
+            want = _multi_index_coefficients(B, n)
+            assert got.keys() == want.keys()
+            for key, (total, size) in want.items():
+                assert abs(got[key] - total) <= 1e-14 * size, (n, key)
 
 
 def test_associativity_all_products(rng):

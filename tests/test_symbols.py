@@ -131,6 +131,15 @@ def test_differentiate_gaussian_chain_rule():
     assert sym.residual(d, expected) == 0
 
 
+@pytest.mark.parametrize("f", [sym.ZERO, sym.variable("q"),
+                               sk.sho_wigner_eigenstate(1)],
+                         ids=["zero", "q", "rho_1"])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_differentiate_rejects_unknown_variable(f, order):
+    with pytest.raises(ValueError, match="var"):
+        sym.differentiate(f, "x", order)
+
+
 def _fd_mixed(f, p, q, h=1e-4):
     """Richardson-extrapolated central difference for d2 f / dp dq."""
     def mixed(hh):
