@@ -35,8 +35,8 @@ def flow_map(t, params=Params()):
 
     Underdamped uses Omega = sqrt(w^2 - g^2) sinusoids, overdamped the
     hyperbolic analogue, and within 1e-12 of g = w the critical formula;
-    the three branches agree continuously across the boundaries.  An entry
-    past the double range raises ExponentOverflowError.
+    the three branches agree continuously across the boundaries.  Raises
+    ExponentOverflowError if e^{-gt}, e^{Omega|t| - gt} or an entry overflows.
     """
     if not math.isfinite(t):
         raise NonFiniteError("flow time must be finite")
@@ -50,13 +50,16 @@ def flow_map(t, params=Params()):
             s, c = math.sin(om * t) / om, math.cos(om * t)
         else:
             om = math.sqrt(g * g - w * w)
-            s, c = math.sinh(om * t) / om, math.cosh(om * t)
+            if om * abs(t) < 20.0:
+                s, c = math.sinh(om * t) / om, math.cosh(om * t)
+            else:  # cosh = |sinh| = e^{Omega|t|}/2: one exp with e^{-gt}
+                decay = math.exp(om * abs(t) - g * t) / 2
+                s, c = math.copysign(1 / om, t), 1.0
         L = ((decay * (c + g * s), decay * s / m),
              (-decay * m * w * w * s, decay * (c - g * s)))
         return GaussianMap(np.zeros((2, 2)), L)
     except (OverflowError, NonFiniteError) as exc:  # t is finite here
-        raise ExponentOverflowError(f"flow map at t = {t:g} overflows "
-                                    "double precision") from exc
+        raise ExponentOverflowError(f"flow at t = {t:g} overflows") from exc
 
 
 def pullback(rho, flow):

@@ -88,9 +88,8 @@ def star_series_oracle(f, g, star, N, spec):
 
     total = np.zeros(P.shape, dtype=np.complex128)
     for order in _series_orders(f, g, star.matrix(), N):
-        order_vals = np.zeros(P.shape, dtype=np.complex128)
-        for c, left, right in order:
-            order_vals += c * (on_grid(left) * on_grid(right))
+        order_vals = sum(c * (on_grid(left) * on_grid(right))
+                         for c, left, right in order)
         total += order_vals
         last = float(np.abs(order_vals).max())
     ref = float(np.abs(total).max())

@@ -331,10 +331,8 @@ def _diff_term_once(t, var):
 
 
 def differentiate(f, var, order=1):
-    if var not in ("p", "q"):
-        raise ValueError("var must be 'p' or 'q'")
-    if order < 0:
-        raise ValueError("order must be non-negative")
+    if var not in ("p", "q") or order < 0:
+        raise ValueError(f"need var 'p' or 'q', order >= 0: {var!r}, {order}")
     out = f
     for _ in range(order):
         raw = []

@@ -137,11 +137,26 @@ def test_non_finite_time_raises(call):
     lambda: sk.flow_map(-400.0, sym.Params(gamma=1.6)),
     lambda: sk.evolve_classical(sk.sho_wigner_eigenstate(2), 1e4,
                                 sym.Params(gamma=0.1)),
-], ids=["underdamped exp", "critical exp", "overdamped product",
+], ids=["underdamped exp", "critical exp", "overdamped exp",
         "evolve_classical"])
 def test_overflowing_flow_raises(call):
     with pytest.raises(ExponentOverflowError):
         call()
+
+
+def test_long_overdamped_flow_is_representable():
+    # cosh(Omega t) overflows at t = 1000, but L(t) ~ e^{(Omega - g) t}
+    par = sym.Params(gamma=1.6)
+    om = math.sqrt(1.6 ** 2 - 1.0)
+    up = math.exp((om - 1.6) * 1000.0)
+    L = sk.flow_map(1000.0, par).L
+    want = np.array([[(1 + 1.6 / om) / 2, 1 / (2 * om)],
+                     [-1 / (2 * om), (1 - 1.6 / om) / 2]]) * up
+    assert np.abs(L - want).max() <= 1e-12 * np.abs(want).max()
+    # across Omega |t| = 20, where the branch switches: L(30) = L(10) L(20)
+    both = transition.compose(sk.flow_map(10.0, par), sk.flow_map(20.0, par))
+    want = sk.flow_map(30.0, par).L
+    assert np.abs(both.L - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_pullback(rng):
