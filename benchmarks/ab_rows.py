@@ -1,21 +1,23 @@
 #!/usr/bin/env python3
-"""Time the series-path rows of bench_kernels against another revision.
+"""Time a set of bench_kernels rows against another revision.
 
 Run from the repository root as
 
-    PYTHONPATH=src python benchmarks/ab_series.py REV [ROUNDS] > ab.json
+    PYTHONPATH=src python benchmarks/ab_rows.py REV CASES [ROUNDS] > ab.json
 
-It extracts src/starkit of the git revision REV into a temporary
-directory, imports it as the package `starkit_parent` next to the working
-tree's `starkit`, and builds the rows of `series_cases` once from each.
-Every round (21 by default) times every row on both sides in one process:
-one warm-up call per side, then 7 calls per side with the two sides'
-calls alternating; the side that goes first alternates by round.  A
-sample is the median of a side's 7 calls, in ms.  Per row it prints, as
-JSON, both sides' samples with their median and quartile spread, the
-rounds the working tree wins, the ratio of the medians and the median of
-the per-round ratios.  The oracle row's DivergenceWarning is silenced
-(N = 12 is a timing input).
+CASES is `series` (the series-path rows of `series_cases`), `algebra`
+(normalize and parse, `algebra_cases`) or `grid_io` (the export and load
+rows of `grid_io_cases`).  It extracts src/starkit of the git revision
+REV into a temporary directory, imports it as the package
+`starkit_parent` next to the working tree's `starkit`, and builds the
+rows once from each.  Every round (21 by default) times every row on both
+sides in one process: one warm-up call per side, then 7 calls per side
+with the two sides' calls alternating; the side that goes first
+alternates by round.  A sample is the median of a side's 7 calls, in ms.
+Per row it prints, as JSON, both sides' samples with their median and
+quartile spread, the rounds the working tree wins, the ratio of the
+medians and the median of the per-round ratios.  The series oracle row's
+DivergenceWarning is silenced (N = 12 is a timing input).
 """
 
 import importlib
@@ -31,7 +33,11 @@ import warnings
 from pathlib import Path
 
 import starkit
-from bench_kernels import series_cases
+from bench_kernels import algebra_cases, grid_io_cases, series_cases
+
+CASES = {"series": lambda pkg, directory: series_cases(pkg),
+         "algebra": lambda pkg, directory: algebra_cases(pkg),
+         "grid_io": grid_io_cases}
 
 CALLS = 7
 
@@ -66,13 +72,13 @@ def spread(xs):
             "iqr": round(q[2] - q[0], 4), "runs": xs, "repeats": len(xs)}
 
 
-def main(rev, rounds=21):
+def main(rev, cases, rounds=21):
     with tempfile.TemporaryDirectory() as tmp:
         parent = import_revision(rev, tmp)
         for pkg in (parent, starkit):
             warnings.simplefilter("ignore", pkg.errors.DivergenceWarning)
-        run(rev, rounds, {"parent": series_cases(parent),
-                          "change": series_cases(starkit)})
+        run(rev, rounds, {"parent": CASES[cases](parent, tmp),
+                          "change": CASES[cases](starkit, tmp)})
 
 
 def run(rev, rounds, cases):
@@ -104,4 +110,4 @@ def run(rev, rounds, cases):
 
 
 if __name__ == "__main__":
-    main(sys.argv[1], *(int(a) for a in sys.argv[2:3]))
+    main(sys.argv[1], sys.argv[2], *(int(a) for a in sys.argv[3:4]))

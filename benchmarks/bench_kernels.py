@@ -20,7 +20,7 @@
   on a pair of two-group Gaussian sums under each of the four products
   (four group pairs).
 - The series path (`series_cases`, also timed against another revision
-  by `ab_series.py`): poly6 star poly6 and poly4 star a
+  by `ab_rows.py`): poly6 star poly6 and poly4 star a
   two-term class member (seeded `verify` draws) under each of the four
   products, damped H star rho_6 and rho_6 star H, `star_exp_truncated` of
   -0.1i H under the damped product to order 12, and the husimi
@@ -31,24 +31,31 @@
   times (975 raw terms, one exponent), and `parse` of its printed form.
 - `export_grid` (CSV and JSON) and `load_grid` on `WIDE_SPEC` of the
   Wigner state n = 12 (real values) and of the off-diagonal state
-  rho_{4,8} evolved to t = 0.7 at gamma = 0.2 (complex values).
+  rho_{4,8} evolved to t = 0.7 at gamma = 0.2 (complex values), each
+  also as the growth of peak RSS (VmHWM) over one call in a fresh
+  interpreter (`bench_kernels.py --rss`).
 - `starkit evolve` in-process on the README scenario (gamma = 0.1, times
   0, 1, 2, 201x201, CSV export at t = 2) with `classical` and with
   `naive` evolution.
 
 Run from the repository root as
 
-    PYTHONPATH=src python benchmarks/bench_kernels.py
+    PYTHONPATH=src python benchmarks/bench_kernels.py [NAME ...]
 
-Each line reports the median and the minimum of several repeats.
+where each NAME (a key of BENCHES, such as grid_io) runs one group; all
+run by default.  Each line reports the median and the minimum of several
+repeats.
 """
 
 import contextlib
+import functools
 import importlib
 import io
 import json
 import os
 import statistics
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
@@ -60,7 +67,6 @@ from starkit import dynamics, numerics, oscillator, transition
 from starkit import symbols as sym
 from starkit.cli import main
 from starkit.errors import DivergenceWarning
-from starkit.expr import format_symbol, parse
 from starkit.numerics import WIDE_SPEC
 
 
@@ -196,7 +202,7 @@ SERIES_SEED = 22
 
 def series_cases(pkg):
     """(label, call) rows of the series path, built from the package pkg
-    (starkit, or the copy of another revision that ab_series.py imports
+    (starkit, or the copy of another revision that ab_rows.py imports
     under a second name) with the seeded draws of its verify suites."""
     rng = np.random.default_rng(SERIES_SEED)
     draw = importlib.import_module(pkg.__name__ + ".verify")
@@ -233,37 +239,107 @@ def bench_series():
             report(label, med, best)
 
 
-def bench_algebra(n=24):
-    state = sk.sho_wigner_eigenstate(n)
+def algebra_cases(pkg, n=24):
+    """(label, call) rows of normalize and parse on the Wigner state n,
+    built from the package pkg (as series_cases)."""
+    expr = importlib.import_module(pkg.__name__ + ".expr")
+    state = pkg.sho_wigner_eigenstate(n)
     raw = list(state.terms) * 3
-    text = format_symbol(state)
-    print(f"symbol algebra: Wigner n={n}")
-    med, best, _ = timeit(lambda: sym.normalize(raw), 15)
-    report(f"normalize, {len(raw)} raw terms", med, best)
-    med, best, back = timeit(lambda: parse(text), 7)
-    report(f"parse, {len(text)} characters", med, best)
-    print(f"  parse(format_symbol(rho)) == rho: {back == state}")
+    text = expr.format_symbol(state)
+    return [(f"Wigner n={n}: normalize, {len(raw)} raw terms",
+             lambda: pkg.normalize(raw)),
+            (f"Wigner n={n}: parse, {len(text)} characters",
+             lambda: expr.parse(text))]
+
+
+def bench_algebra(n=24):
+    print("symbol algebra")
+    (norm_label, norm), (parse_label, parse) = algebra_cases(sk, n)
+    med, best, _ = timeit(norm, 15)
+    report(norm_label, med, best)
+    med, best, back = timeit(parse, 7)
+    report(parse_label, med, best)
+    print(f"  parse(format_symbol(rho)) == rho: "
+          f"{back == sk.sho_wigner_eigenstate(n)}")
+
+
+def grid_io_files(pkg, directory):
+    """(label, grid, fmt, path) of each export and load row on WIDE_SPEC,
+    the grid built from the package pkg (as series_cases) and written once
+    to path, under directory, by its export_grid."""
+    numerics = importlib.import_module(pkg.__name__ + ".numerics")
+    dynamics = importlib.import_module(pkg.__name__ + ".dynamics")
+    states = (
+        ("Wigner n=12, real", pkg.sho_wigner_eigenstate(12)),
+        ("rho_{4,8} at t=0.7, gamma=0.2, complex",
+         dynamics.evolve_classical(pkg.sho_offdiagonal(4, 8), 0.7,
+                                   pkg.Params(gamma=0.2))))
+    for k, (label, state) in enumerate(states):
+        grid = numerics.sample(state, numerics.WIDE_SPEC)
+        for fmt in ("csv", "json"):
+            path = os.path.join(directory, f"{pkg.__name__}-{k}.{fmt}")
+            numerics.export_grid(grid, fmt, path)
+            yield label, grid, fmt, path
+
+
+def grid_io_cases(pkg, directory):
+    """(label, call) rows of export_grid and load_grid (grid_io_files)."""
+    numerics = importlib.import_module(pkg.__name__ + ".numerics")
+    rows = []
+    for label, grid, fmt, path in grid_io_files(pkg, directory):
+        rows += [(f"{label}: export_grid {fmt}",
+                  lambda g=grid, f=fmt, p=path: numerics.export_grid(g, f, p)),
+                 (f"{label}: load_grid {fmt}",
+                  lambda p=path: numerics.load_grid(p))]
+    return rows
+
+
+def peak_rss_mb():
+    """This process's peak RSS in MB (VmHWM).  Not ru_maxrss: on Linux a
+    child inherits that from the process that started it."""
+    with open("/proc/self/status", encoding="ascii") as fh:
+        kb = next(ln.split()[1] for ln in fh if ln.startswith("VmHWM:"))
+    return int(kb) / 1024
+
+
+def one_call_rss(call, path, values=None):
+    """Growth of the peak RSS, in MB, over one call in this process: an
+    export_grid of the values saved in the .npy file values, in the format
+    of path's suffix, or a load_grid of path."""
+    if call == "export":
+        grid = numerics.PhaseGrid(WIDE_SPEC, np.load(values))
+        fmt = os.path.splitext(path)[1][1:]
+        run = functools.partial(numerics.export_grid, grid, fmt, path)
+    else:
+        run = functools.partial(numerics.load_grid, path)
+    before = peak_rss_mb()
+    run()
+    return peak_rss_mb() - before
+
+
+def fresh_rss(*args):
+    """one_call_rss(*args) in a fresh interpreter."""
+    out = subprocess.run([sys.executable, __file__, "--rss", *args],
+                         check=True, capture_output=True, text=True).stdout
+    return float(out)
 
 
 def bench_grid_io():
-    states = (
-        ("Wigner n=12, real", sk.sho_wigner_eigenstate(12)),
-        ("rho_{4,8} at t=0.7, gamma=0.2, complex",
-         dynamics.evolve_classical(oscillator.sho_offdiagonal(4, 8), 0.7,
-                                   sym.Params(gamma=0.2))))
-    print(f"grid export and load on {WIDE_SPEC.nq}x{WIDE_SPEC.np} nodes")
+    print(f"grid export and load on {WIDE_SPEC.nq}x{WIDE_SPEC.np} nodes "
+          "(RSS: peak growth over one call in a fresh process)")
     with tempfile.TemporaryDirectory() as tmp:
-        for label, state in states:
-            grid = numerics.sample(state, WIDE_SPEC)
-            for fmt in ("csv", "json"):
-                path = os.path.join(tmp, f"grid.{fmt}")
-                med, best, _ = timeit(
-                    lambda: numerics.export_grid(grid, fmt, path), 7)
-                report(f"{label}: export_grid {fmt}", med, best)
-                med, best, back = timeit(lambda: numerics.load_grid(path), 7)
-                report(f"{label}: load_grid {fmt}", med, best)
-                print(f"  load_grid(export_grid(g)) == g: "
-                      f"{np.array_equal(back.values, grid.values)}")
+        values = os.path.join(tmp, "values.npy")
+        for label, grid, fmt, path in grid_io_files(sk, tmp):
+            np.save(values, grid.values)
+            med, best, _ = timeit(
+                lambda: numerics.export_grid(grid, fmt, path), 7)
+            report(f"{label}: export_grid {fmt}", med, best)
+            print(f"    RSS +{fresh_rss('export', path, values):.1f} MB")
+            med, best, back = timeit(lambda: numerics.load_grid(path), 7)
+            report(f"{label}: load_grid {fmt}", med, best)
+            print(f"    RSS +{fresh_rss('load', path):.1f} MB")
+            print(f"  load_grid(export_grid(g)) == g: "
+                  f"{np.array_equal(back.values, grid.values)}")
 
 
 def bench_readme_scenario():
@@ -293,13 +369,15 @@ def bench_readme_scenario():
             print("    " + " ".join(ln.split()[1] for ln in out.splitlines()))
 
 
+BENCHES = {"eval": bench_eval, "rk4": bench_rk4, "rk4_ops": bench_rk4_ops,
+           "maps": bench_maps, "products": bench_products,
+           "series": bench_series, "algebra": bench_algebra,
+           "grid_io": bench_grid_io, "readme": bench_readme_scenario}
+
+
 if __name__ == "__main__":
-    bench_eval()
-    bench_rk4()
-    bench_rk4_ops()
-    bench_maps()
-    bench_products()
-    bench_series()
-    bench_algebra()
-    bench_grid_io()
-    bench_readme_scenario()
+    if sys.argv[1:2] == ["--rss"]:
+        print(one_call_rss(*sys.argv[2:]))
+    else:
+        for name in sys.argv[1:] or BENCHES:
+            BENCHES[name]()

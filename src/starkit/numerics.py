@@ -264,33 +264,42 @@ def rk4_evolve(g0, kind, t, dt, params=Params()):
 def export_grid(grid, fmt, destination):
     """Write a grid as CSV ("q,p,re,im", q-major) or JSON; byte-deterministic.
 
-    Each lattice row is one %-template over the row's (re, im) floats:
-    "%.17g" is format(x, ".17g"), and "%r" is the float repr that json
-    writes, so the bytes are those of the per-element formulas.
+    Each lattice row is one %-template over the row's (re, im) floats,
+    written to the open file as it is formed: "%.17g" is format(x, ".17g"),
+    and "%r" is the float repr that json writes, so the bytes are those of
+    the per-element formulas.  An unknown format raises before the file
+    opens.
     """
     s = grid.spec
     rows = np.ascontiguousarray(grid.values, dtype=np.complex128).view(
-        np.float64).tolist()  # per q: re, im, re, im, ...
-    try:
-        if fmt == "csv":
-            tail = [",%.17g,%%.17g,%%.17g" % p for p in s.p_values().tolist()]
-            lines = []
+        np.float64)  # per q: re, im, re, im, ...
+    if fmt == "csv":
+        tail = [",%.17g,%%.17g,%%.17g" % p for p in s.p_values().tolist()]
+
+        def chunks():
+            yield "q,p,re,im\n"
             for q, row in zip(s.q_values().tolist(), rows):
                 q = "%.17g" % q
-                lines.append((q + ("\n" + q).join(tail)) % tuple(row))
-            payload = "q,p,re,im\n" + "\n".join(lines) + "\n"
-        elif fmt == "json":
-            head = json.dumps({"spec": {"q_min": s.q_min, "q_max": s.q_max,
-                                        "p_min": s.p_min, "p_max": s.p_max,
-                                        "nq": s.nq, "np": s.np}},
-                              separators=(",", ":"))
-            pairs = ",".join(["[%r,%r]"] * s.np)
-            payload = (head[:-1] + ',"values":['
-                       + ",".join(pairs % tuple(row) for row in rows) + "]}\n")
-        else:
-            raise ValueError(f"unknown format {fmt!r}")
+                yield (q + ("\n" + q).join(tail) + "\n") % tuple(row.tolist())
+    elif fmt == "json":
+        head = json.dumps({"spec": {"q_min": s.q_min, "q_max": s.q_max,
+                                    "p_min": s.p_min, "p_max": s.p_max,
+                                    "nq": s.nq, "np": s.np}},
+                          separators=(",", ":"))
+        pairs = ",".join(["[%r,%r]"] * s.np)
+
+        def chunks():
+            yield head[:-1] + ',"values":['
+            sep = ""
+            for row in rows:
+                yield sep + pairs % tuple(row.tolist())
+                sep = ","
+            yield "]}\n"
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+    try:
         with open(destination, "w", encoding="ascii") as fh:
-            fh.write(payload)
+            fh.writelines(chunks())
     except OSError as exc:
         raise OSError(f"cannot write {destination}: {exc}") from exc
 
@@ -298,25 +307,35 @@ def export_grid(grid, fmt, destination):
 def load_grid(path):
     """Read back a grid written by export_grid (format sniffed from content).
 
-    Every field is converted in one numpy conversion, and the (re, im)
-    columns are viewed as complex, so signed zeros come back as written.
+    A CSV body is parsed from the open file by np.loadtxt: every line after
+    the header must hold the 4 float fields q,p,re,im ('#' starts no
+    comment), and an empty body is an error.  The (re, im) columns are
+    viewed as complex, so signed zeros come back as written.
     """
     with open(path, encoding="ascii") as fh:
-        text = fh.read()
-    if text.startswith("{"):
-        doc = json.loads(text)
+        is_json = fh.read(1) == "{"
+        fh.seek(0)
+        if is_json:
+            doc = json.load(fh)
+        else:
+            fh.readline()  # the header
+            bad = f"{path}: expected rows of the 4 fields q,p,re,im"
+            try:
+                with warnings.catch_warnings():  # an empty body fails below
+                    warnings.simplefilter("ignore", UserWarning)
+                    fields = np.loadtxt(fh, dtype=np.float64, delimiter=",",
+                                        comments=None, ndmin=2)
+            except ValueError as exc:
+                raise ValueError(bad) from exc
+            if not fields.size or fields.shape[1] != 4:
+                raise ValueError(bad)
+    if is_json:
         spec = GridSpec(**doc["spec"])
         pairs = np.array(doc["values"], dtype=np.float64)
         if pairs.shape != (spec.nq * spec.np, 2):
             raise ValueError(f"{path}: {len(pairs)} values do not fill the "
                              f"{spec.nq}x{spec.np} lattice")
     else:
-        fields = np.array(text.partition("\n")[2].replace(",", " ").split(),
-                          dtype=np.float64)
-        if not fields.size or fields.size % 4:
-            raise ValueError(f"{path}: expected rows of the 4 fields "
-                             "q,p,re,im")
-        fields = fields.reshape(-1, 4)
         qs, ps = np.unique(fields[:, 0]), np.unique(fields[:, 1])
         if not (np.array_equal(fields[:, 0], np.repeat(qs, len(ps)))
                 and np.array_equal(fields[:, 1], np.tile(ps, len(qs)))):

@@ -218,8 +218,8 @@ def star_exp_truncated(f, star, N):
     """
     if not f.is_polynomial():
         raise NonTerminatingError("star exponential needs a polynomial argument")
-    if N < 0:
-        raise ValueError("truncation order must be non-negative")
+    if not isinstance(N, (int, np.integer)) or N < 0:
+        raise ValueError("truncation order must be a non-negative integer")
     acc = sym.ONE
     power = sym.ONE
     for n in range(1, N + 1):

@@ -222,18 +222,33 @@ def normalize(raw):
     return Symbol(tuple(out))
 
 
+def _normalized(raw):
+    """normalize(raw), a single term formed without the grouping: the same
+    checks, and the coefficient is the sum normalize takes, 0 + c, whose
+    zero parts are +0.0.  So the result is the same bits, one term or many.
+    """
+    if len(raw) != 1:
+        return normalize(raw)
+    t = raw[0]
+    c = _check_finite(complex(t.coeff))
+    expo = t.expo if t.expo is ZERO_EXPO else QuadExponent(
+        *(_check_finite(complex(e)) for e in t.expo.entries()))
+    c = 0 + c
+    return Symbol((Term(c, t.pow_p, t.pow_q, expo),) if c != 0 else ())
+
+
 ZERO = Symbol(())
 ONE = normalize([Term(1.0, 0, 0)])
 
 
 def const(c):
-    return normalize([Term(c, 0, 0)])
+    return _normalized([Term(c, 0, 0)])
 
 
 def monomial(c, pow_p, pow_q):
     if pow_p < 0 or pow_q < 0:
         raise ValueError("monomial powers must be non-negative")
-    return normalize([Term(c, pow_p, pow_q)])
+    return _normalized([Term(c, pow_p, pow_q)])
 
 
 def variable(name):
@@ -251,12 +266,13 @@ def poly_symbol(coeff_map):
 
 def gaussian(coeff, app=0j, aqq=0j, apq=0j, bp=0j, bq=0j):
     """Single pure-Gaussian term coeff * exp(quadratic form)."""
-    return normalize([Term(coeff, 0, 0, QuadExponent(app, aqq, apq, bp, bq))])
+    return _normalized([Term(coeff, 0, 0,
+                             QuadExponent(app, aqq, apq, bp, bq))])
 
 
 def scale(f, a):
-    return normalize([Term(t.coeff * a, t.pow_p, t.pow_q, t.expo)
-                      for t in f.terms])
+    return _normalized([Term(t.coeff * a, t.pow_p, t.pow_q, t.expo)
+                        for t in f.terms])
 
 
 def combine(f, a, g, b):
@@ -273,16 +289,16 @@ def pointwise_multiply(f, g):
         for t in g.terms:
             raw.append(Term(s.coeff * t.coeff, s.pow_p + t.pow_p,
                             s.pow_q + t.pow_q, s.expo + t.expo))
-    return normalize(raw)
+    return _normalized(raw)
 
 
 def pointwise_power(f, n):
-    """f^n as the repeated pointwise product, with one normalize for a term.
+    """f^n as the repeated pointwise product, a single term in one step.
 
     A single term's coefficient is multiplied and its exponent added in the
     repeated product's order.  No nonzero part depends on the sign of a
-    zero part, and the final normalize makes zero signs canonical as every
-    step of the repeated product does, so the result is the same bits.
+    zero part, and the final _normalized makes zero signs canonical as
+    every step of the repeated product does, so the result is the same bits.
     """
     if n < 0:
         raise ValueError("powers must be non-negative")
@@ -299,7 +315,7 @@ def pointwise_power(f, n):
             expo = expo + t.expo
         if c == 0:  # the repeated product prunes the term here
             break
-    return normalize([Term(c, t.pow_p * n, t.pow_q * n, expo)])
+    return _normalized([Term(c, t.pow_p * n, t.pow_q * n, expo)])
 
 
 def _diff_term_once(t, var):

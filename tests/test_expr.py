@@ -133,3 +133,16 @@ def test_parse_malformed_inputs(text, error, position):
 def test_print_parse_round_trip_is_exact_on_wigner_24():
     rho = sk.sho_wigner_eigenstate(24)
     assert parse(format_symbol(rho)) == rho
+
+
+def test_parse_normalizes_once_per_expression(monkeypatch):
+    """Numbers, i, p, q, one-term powers and products, and exp(...) skip
+    normalize; each expression (the text, each exp argument) sums once."""
+    rho = sk.sho_wigner_eigenstate(24)
+    text = format_symbol(rho)
+    calls = []
+    normalize = sym.normalize
+    monkeypatch.setattr(sym, "normalize",
+                        lambda raw: calls.append(1) or normalize(raw))
+    assert parse(text) == rho
+    assert len(calls) == 1 + text.count("exp(") == 326

@@ -132,13 +132,24 @@ def test_series_oracle_divergence_warning():
                                     sym.SAMPLE_SPEC)
 
 
-@pytest.mark.parametrize("N", [-1, 2.5, 41], ids=["negative", "fractional",
-                                                "above the cap"])
-def test_series_oracle_rejects_bad_order(N):
+def _oracle_of_order(N):
     rho0 = sk.sho_wigner_eigenstate(0)
+    numerics.star_series_oracle(rho0, rho0, sk.moyal_star(), N,
+                                sym.SAMPLE_SPEC)
+
+
+def _star_exp_of_order(N):
+    sk.star_exp_truncated(sk.hamiltonian(), sk.moyal_star(), N)
+
+
+@pytest.mark.parametrize("series, N", [
+    (_oracle_of_order, -1), (_oracle_of_order, 2.5), (_oracle_of_order, 41),
+    (_star_exp_of_order, -1), (_star_exp_of_order, 2.5)],
+    ids=["negative", "fractional", "above the cap", "star_exp negative",
+         "star_exp fractional"])
+def test_series_oracle_rejects_bad_order(series, N):
     with pytest.raises(ValueError, match="truncation order"):
-        numerics.star_series_oracle(rho0, rho0, sk.moyal_star(), N,
-                                    sym.SAMPLE_SPEC)
+        series(N)
 
 
 def test_rk4_zero_field_is_identity():
@@ -335,23 +346,33 @@ def _per_element_exports(grid):
 
 
 def test_export_bytes_match_the_per_element_formulas(tmp_path):
-    spec = sym.GridSpec(-1.7, 2.3, -3.1, 0.9, 17, 23)
     rng = np.random.default_rng(13)
-    values = rng.normal(size=(17, 23)) + 1j * rng.normal(size=(17, 23))
-    values[0, :4] = [complex(-0.0, 0.0), complex(0.0, -0.0),
-                     complex(5e-324, -1e-320), complex(1e300, -1e300)]
-    values[1, :3] = [3.0, complex(-7.0, 2.0), complex(-0.0, -0.0)]
-    grid = numerics.PhaseGrid(spec, values)
-    for fmt, text in _per_element_exports(grid).items():
-        path = tmp_path / f"grid.{fmt}"
-        numerics.export_grid(grid, fmt, path)
-        assert path.read_bytes() == text.encode("ascii")
-        back = numerics.load_grid(path)
-        assert back.spec == spec
-        for got, want in ((back.values.real, values.real),
-                          (back.values.imag, values.imag)):
-            assert np.array_equal(got, want)
-            assert np.array_equal(np.signbit(got), np.signbit(want))
+    for spec in (sym.GridSpec(-1.7, 2.3, -3.1, 0.9, 17, 23),
+                 numerics.WIDE_SPEC):  # 201x201, rows written one by one
+        shape = (spec.nq, spec.np)
+        values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        values[0, :4] = [complex(-0.0, 0.0), complex(0.0, -0.0),
+                         complex(5e-324, -1e-320), complex(1e300, -1e300)]
+        values[1, :3] = [3.0, complex(-7.0, 2.0), complex(-0.0, -0.0)]
+        grid = numerics.PhaseGrid(spec, values)
+        for fmt, text in _per_element_exports(grid).items():
+            path = tmp_path / f"grid.{fmt}"
+            numerics.export_grid(grid, fmt, path)
+            assert path.read_bytes() == text.encode("ascii")
+            back = numerics.load_grid(path)
+            assert back.spec == spec
+            for got, want in ((back.values.real, values.real),
+                              (back.values.imag, values.imag)):
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_export_unknown_format_leaves_no_file(tmp_path):
+    grid = numerics.sample(sym.ONE, sym.GridSpec(0.0, 1.0, 0.0, 2.0, 3, 4))
+    path = tmp_path / "grid.txt"
+    with pytest.raises(ValueError, match="unknown format 'txt'"):
+        numerics.export_grid(grid, "txt", path)
+    assert not path.exists()
 
 
 def test_load_grid_csv_names_the_file_on_a_bad_lattice(tmp_path):
@@ -368,6 +389,28 @@ def test_load_grid_csv_names_the_file_on_a_bad_lattice(tmp_path):
     for bad in (lines[:-1] + ["2,2,1"], lines[:1]):
         path.write_text("\n".join(bad) + "\n")
         with pytest.raises(ValueError, match="bad.csv: expected rows of"):
+            numerics.load_grid(path)
+
+
+_ROWS = ["0,0,1,0", "0,2,1,0", "1,0,1,0", "1,2,1,0"]  # a 2x2 lattice
+# CSV files whose body is not rows of the 4 fields q,p,re,im.
+_BAD_CSV = {
+    "comment line": "q,p,re,im\n#" + "\n".join(_ROWS) + "\n",
+    "row of 3 fields": "q,p,re,im\n" + "\n".join(_ROWS[:3] + ["1,2,1"]),
+    "row of 5 fields": "q,p,re,im\n" + "\n".join(_ROWS[:3] + ["1,2,1,0,0"]),
+    "empty file": "",
+    "header only": "q,p,re,im\n",
+}
+
+
+@pytest.mark.parametrize("text", _BAD_CSV.values(), ids=_BAD_CSV)
+def test_load_grid_csv_rejects_a_body_not_of_4_fields(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's "no data" must not escape
+        with pytest.raises(ValueError, match="bad.csv: expected rows of the "
+                                             "4 fields q,p,re,im"):
             numerics.load_grid(path)
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,37 @@ def test_pointwise_power_is_the_repeated_product(text):
         for _ in range(n):
             folded = sym.pointwise_multiply(folded, f)
         assert sym.pointwise_power(f, n).terms == folded.terms
+
+
+def _bits(f):
+    return [(np.float64(c.real).tobytes(), np.float64(c.imag).tobytes(),
+             t.pow_p, t.pow_q)
+            for t in f.terms
+            for c in (complex(t.coeff), *map(complex, t.expo.entries()))]
+
+
+@pytest.mark.parametrize("coeff", [complex(-0.0, -0.0), complex(1.0, -0.0),
+                                   complex(-0.0, 2.0), 5e-324, 3])
+@pytest.mark.parametrize("expo", [sym.ZERO_EXPO,
+                                  sym.QuadExponent(app=complex(-0.5, -0.0),
+                                                   apq=0.25, bq=-0.0)])
+def test_single_term_skips_the_grouping_with_the_same_bits(coeff, expo):
+    t = sym.Term(coeff, 2, 1, expo)
+    for one, many in ((sym.scale(sym.Symbol((t,)), -1.0),
+                       sym.normalize([sym.Term(t.coeff * -1.0, 2, 1, expo)])),
+                      (sym.pointwise_multiply(sym.Symbol((t,)), sym.ONE),
+                       sym.normalize([sym.Term(t.coeff * sym.ONE.terms[0].coeff,
+                                               2, 1, expo + sym.ZERO_EXPO)])),
+                      (sym.monomial(coeff, 2, 1),
+                       sym.normalize([sym.Term(coeff, 2, 1)]))):
+        assert _bits(one) == _bits(many)
+
+
+def test_single_term_checks_like_normalize():
+    for t in (sym.Term(complex(math.inf, 0.0), 0, 0),
+              sym.Term(1.0, 0, 0, sym.QuadExponent(app=math.nan))):
+        with pytest.raises(NonFiniteError, match="non-finite coefficient"):
+            sym.scale(sym.Symbol((t,)), 1.0)
 
 
 def test_pointwise_power_rejects_overflow_and_negative_powers():
