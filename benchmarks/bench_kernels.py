@@ -34,6 +34,13 @@
   rho_{4,8} evolved to t = 0.7 at gamma = 0.2 (complex values), each
   also as the growth of peak RSS (VmHWM) over one call in a fresh
   interpreter (`bench_kernels.py --rss`).
+- `sample` (`grid_eval_cases`, also timed against another revision by
+  `ab_rows.py`) of the Wigner states n = 24 and n = 12 and of a Gaussian
+  on the 9x9 sample lattice and on [-6, 6]^2 at 201x201, 401x401 and
+  801x801, and `evaluate_grid` of the same three on the sample lattice's
+  meshes (the 9x9 checks of `approx_equal` and `residual`); the growth of
+  peak RSS over one `sample` of n = 24 and over 20 damped `rk4_evolve`
+  steps of a real Gaussian, both at 401x401 in a fresh interpreter.
 - `starkit evolve` in-process on the README scenario (gamma = 0.1, times
   0, 1, 2, 201x201, CSV export at t = 2) with `classical` and with
   `naive` evolution.
@@ -263,6 +270,36 @@ def bench_algebra(n=24):
           f"{back == sk.sho_wigner_eigenstate(n)}")
 
 
+def grid_eval_cases(pkg):
+    """(label, call) rows of sample and evaluate_grid, built from the
+    package pkg (as series_cases)."""
+    states = (("Wigner n=24", pkg.sho_wigner_eigenstate(24)),
+              ("Wigner n=12", pkg.sho_wigner_eigenstate(12)),
+              ("Gaussian", pkg.gaussian(1.0, app=-0.8, aqq=-0.9, apq=0.05,
+                                        bp=0.2, bq=-0.1)))
+    small = pkg.GridSpec(-3.0, 3.0, -3.0, 3.0, 9, 9)
+    P, Q = small.meshes()
+    rows = [(f"{label}: evaluate_grid 9x9 meshes",
+             lambda f=f: pkg.evaluate_grid(f, P, Q)) for label, f in states]
+    for n in (9, 201, 401, 801):
+        spec = small if n == 9 else pkg.GridSpec(-6.0, 6.0, -6.0, 6.0, n, n)
+        rows += [(f"{label}: sample {n}x{n}",
+                  lambda f=f, s=spec: pkg.sample(f, s))
+                 for label, f in states]
+    return rows
+
+
+def bench_grid_eval():
+    print("sample and evaluate_grid (RSS: peak growth over one call in a "
+          "fresh process)")
+    for label, call in grid_eval_cases(sk):
+        call()  # warm-up outside timing
+        med, best, _ = timeit(call, 7)
+        report(label, med, best)
+    for call in ("sample", "rk4"):
+        print(f"  {call} at 401x401: RSS +{fresh_rss(call):.1f} MB")
+
+
 def grid_io_files(pkg, directory):
     """(label, grid, fmt, path) of each export and load row on WIDE_SPEC,
     the grid built from the package pkg (as series_cases) and written once
@@ -302,16 +339,30 @@ def peak_rss_mb():
     return int(kb) / 1024
 
 
-def one_call_rss(call, path, values=None):
+def one_call_rss(call, path=None, values=None):
     """Growth of the peak RSS, in MB, over one call in this process: an
     export_grid of the values saved in the .npy file values, in the format
-    of path's suffix, or a load_grid of path."""
+    of path's suffix; a load_grid of path; a sample of the Wigner state
+    n = 24 on 401x401; or 20 damped rk4_evolve steps at dt = 1e-3 of a
+    real Gaussian on 401x401, its values formed by numpy before the call
+    (not by sample, whose own peak would move the baseline)."""
+    spec = sym.GridSpec(-6.0, 6.0, -6.0, 6.0, 401, 401)
     if call == "export":
         grid = numerics.PhaseGrid(WIDE_SPEC, np.load(values))
         fmt = os.path.splitext(path)[1][1:]
         run = functools.partial(numerics.export_grid, grid, fmt, path)
-    else:
+    elif call == "load":
         run = functools.partial(numerics.load_grid, path)
+    elif call == "sample":
+        state = sk.sho_wigner_eigenstate(24)
+        numerics.sample(state, sym.SAMPLE_SPEC)  # warm-up
+        run = functools.partial(numerics.sample, state, spec)
+    else:
+        p, q = spec.p_values()[None, :], spec.q_values()[:, None]
+        g0 = numerics.PhaseGrid(spec, np.exp(-0.8 * p * p - 0.9 * q * q)
+                                + 0j)
+        run = functools.partial(numerics.rk4_evolve, g0, "damped", 0.02,
+                                1e-3, sym.Params(gamma=0.2))
     before = peak_rss_mb()
     run()
     return peak_rss_mb() - before
@@ -372,7 +423,8 @@ def bench_readme_scenario():
 BENCHES = {"eval": bench_eval, "rk4": bench_rk4, "rk4_ops": bench_rk4_ops,
            "maps": bench_maps, "products": bench_products,
            "series": bench_series, "algebra": bench_algebra,
-           "grid_io": bench_grid_io, "readme": bench_readme_scenario}
+           "grid_eval": bench_grid_eval, "grid_io": bench_grid_io,
+           "readme": bench_readme_scenario}
 
 
 if __name__ == "__main__":

@@ -169,7 +169,7 @@ def _read_scenario(path):
         raise ValueError("times must be non-decreasing")
     gdoc = _object(doc["grid"], "'grid'")
     spec = GridSpec(gdoc["q_min"], gdoc["q_max"], gdoc["p_min"],
-                    gdoc["p_max"], int(gdoc["nq"]), int(gdoc["np"]))
+                    gdoc["p_max"], gdoc["nq"], gdoc["np"])
     outputs = {}
     for o in doc.get("outputs", []):
         o = _object(o, "each 'outputs' entry")

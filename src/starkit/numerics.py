@@ -23,12 +23,6 @@ from .symbols import GridSpec, Params
 # below 1e-8 outside it.
 WIDE_SPEC = GridSpec(-6.0, 6.0, -6.0, 6.0, 201, 201)
 
-# About this many doubles per array in one row strip of an RK4 stage (the
-# strips are of equal height), so that a strip's five arrays (v, u, out, a
-# temporary and the c_p plane) fit a 2 MB L2 share: 201^2 is one strip of
-# one plane, 401^2 five.
-_STRIP_NODES = 1 << 15
-
 
 @dataclass(frozen=True)
 class PhaseGrid:
@@ -43,17 +37,23 @@ class PhaseGrid:
             raise ValueError("grid values must be finite")
 
 
+def _axes(spec):
+    """(P, Q) of the lattice as broadcastable axes p[None, :], q[:, None]."""
+    return spec.p_values()[None, :], spec.q_values()[:, None]
+
+
 def sample(f, spec):
     """values[iq, ip] = f(p_ip, q_iq) at lattice nodes, endpoints inclusive."""
-    P, Q = spec.meshes()
-    return PhaseGrid(spec, sym.evaluate_grid(f, P, Q))
+    return PhaseGrid(spec, sym.evaluate_grid(f, *_axes(spec)))
 
 
 def grid_distance(g1, g2):
-    """Sup-norm of the difference of two grids over one lattice."""
+    """Sup-norm of the difference of two grids over one lattice, taken a
+    strip of rows at a time (symbols._STRIP_NODES)."""
     if g1.spec != g2.spec:
         raise SpecMismatchError("grids sampled on different lattices")
-    return float(np.abs(g1.values - g2.values).max())
+    return max(float(np.abs(a - b).max()) for _, (a, b) in
+               sym._strips(g1.values.shape, g1.values, g2.values))
 
 
 def gauss_legendre_2d(func, q_lo, q_hi, p_lo, p_hi, order=60):
@@ -68,17 +68,19 @@ def gauss_legendre_2d(func, q_lo, q_hi, p_lo, p_hi, order=60):
     return complex(wq @ vals @ wp)
 
 
-def star_series_oracle(f, g, star, N, spec):
+def star_series_oracle(f, g, star, N, spec, tol=1e-8):
     """Grid evaluation of the truncated bidifferential series of f star g.
 
     Sums the orders n <= N (an integer, at most 40) of star._series_orders
     with each symbolic derivative sampled on the grid once; independent of
     the closed-form Gaussian star path, so agreement with it is evidence.
-    Warns when the last retained order is not yet negligible.
+    Warns (DivergenceWarning) when the tail past order N, extrapolated
+    geometrically from the sup norms of the last three orders
+    (_series_tail), exceeds tol on the grid.
     """
     if not isinstance(N, (int, np.integer)) or not 0 <= N <= 40:
         raise ValueError("truncation order must be an integer in [0, 40]")
-    P, Q = spec.meshes()
+    P, Q = _axes(spec)
     grids = {}  # by id(): the generator's tables keep each derivative alive
 
     def on_grid(d):
@@ -86,22 +88,42 @@ def star_series_oracle(f, g, star, N, spec):
             grids[id(d)] = sym.evaluate_grid(d, P, Q)
         return grids[id(d)]
 
-    total = np.zeros(P.shape, dtype=np.complex128)
+    total = np.zeros((spec.nq, spec.np), dtype=np.complex128)
+    sizes = []
     for order in _series_orders(f, g, star.matrix(), N):
         order_vals = sum(c * (on_grid(left) * on_grid(right))
                          for c, left, right in order)
         total += order_vals
-        last = float(np.abs(order_vals).max())
-    ref = float(np.abs(total).max())
-    if last > 1e-8 * max(ref, 1e-300):
-        warnings.warn(
-            f"last retained order has sup-norm {last:.3g} vs sum {ref:.3g}",
-            DivergenceWarning)
+        sizes.append(float(np.abs(order_vals).max()))
+    tail = _series_tail(sizes)
+    if not tail <= tol:
+        warnings.warn(f"series tail past order {N} estimated at {tail:.3g} "
+                      f"exceeds tol = {tol:.3g}", DivergenceWarning)
     return PhaseGrid(spec, total)
 
 
+def _series_tail(sizes):
+    """Geometric estimate of the sum of the orders past the last of sizes.
+
+    sizes are the sup norms m_0..m_N of the kept orders.  With the ratio
+    r = m_N / m_{N-2} over two orders, the orders past N are taken as
+    (m_{N-1}, m_N) times r, r^2, ..., so the tail is
+    (m_{N-1} + m_N) r / (1 - r): exact for m_n = C s^n, and unaffected
+    where every other order vanishes (products of functions of one
+    quadratic form, such as rho_0 star rho_0).  It is infinite for r >= 1
+    or m_{N-2} = 0 under a nonzero end, and for fewer than three orders
+    unless the last is zero; two zero last orders end the series.
+    """
+    if len(sizes) < 3 or not sizes[-3]:
+        return 0.0 if not any(sizes[-2:]) else np.inf
+    a, b, c = sizes[-3:]
+    r = c / a
+    return (b + c) * r / (1.0 - r) if r < 1.0 else np.inf
+
+
 def _advection_fields(spec, params, kind):
-    P, Q = spec.meshes()
+    """(v_q, v_p) of rk4_evolve, broadcastable to the lattice."""
+    P, Q = _axes(spec)
     m, w, g = params.m, params.omega, params.gamma
     vq = P / m
     vp = -m * w * w * Q - (0.0 if kind == "naive" else 2.0 * g * P)
@@ -126,20 +148,20 @@ def _advection(spec, params, kind, planes, h):
 
     L is the advection operator of rk4_evolve; the outer ring of out is left
     as u's (rows are never written, columns are copied back).  Rows run in
-    strips of about _STRIP_NODES doubles; the one-sided edge rows and
-    columns are formed once per stage on the whole plane, so the result
-    does not depend on the strip height.
+    strips of about symbols._STRIP_NODES doubles; the one-sided edge rows
+    and columns are formed once per stage on the whole plane, so the
+    result does not depend on the strip height.
     """
     nq, n_p = spec.nq, spec.np
     dq, dp = _steps(spec)
     vq, vp = _advection_fields(spec, params, kind)
     cq = -vq[0] / (12.0 * dq)  # v_q = p/m: one (np,) row
-    cp = (-vp / (12.0 * dp)).ravel()
+    cp = np.broadcast_to(-vp / (12.0 * dp), (nq, n_p)).ravel()
     cx = (params.gamma * params.hbar / (144.0 * dq * dp)
           * np.array([[1.0], [-1.0]]) if kind == "naive" else None)
     scaled = {k: (h / k * cq, h / k * cp, None if cx is None else h / k * cx)
               for k in (1, 2, 3, 4)}
-    strips = max(1, round(planes * (nq - 2) * n_p / _STRIP_NODES))
+    strips = max(1, round(planes * (nq - 2) * n_p / sym._STRIP_NODES))
     rows = -(-(nq - 2) // strips)  # strips of equal height, the last shorter
     tmp = np.zeros((planes, rows * n_p))
     ep, ex = np.zeros((planes, nq, 2)), np.zeros((planes, nq, 2))
@@ -220,9 +242,12 @@ def rk4_evolve(g0, kind, t, dt, params=Params()):
     u + (h/k) L v for k = 4, 3, 2, 1, each v the stage before it.  The
     stages alternate between two buffers, so a step holds three states;
     the result is RK4's up to rounding (1e-14 on O(1) states).  Each stage
-    runs over strips of rows (_STRIP_NODES) that keep its arrays in cache;
-    its edge rows and columns are formed once on the whole plane, so the
-    result is the same bit for bit at any strip height.
+    runs over strips of rows (symbols._STRIP_NODES) that keep its arrays
+    in cache; its edge rows and columns are formed once on the whole
+    plane, so the result is the same bit for bit at any strip height.  The
+    state is copied straight into its plane(s), the fields are formed from
+    the lattice axes, and the stage planes and buffers are released before
+    the complex output is formed.
 
     A "naive" state, or one with any imaginary entry other than +0.0, is
     two planes (real, imaginary part).  A "damped" state whose imaginary
@@ -242,9 +267,12 @@ def rk4_evolve(g0, kind, t, dt, params=Params()):
     if ratio > 0.5:
         warnings.warn(f"step h = {h:.3g}: |h| * vmax / dx = {ratio:.3g} "
                       "exceeds 0.5", CFLWarning)
-    re, im = np.real(g0.values).ravel(), np.imag(g0.values).ravel()
+    v0 = np.asarray(g0.values)
+    im = v0.imag if np.iscomplexobj(v0) else np.zeros(())
     real = kind == "damped" and not (im.any() or np.signbit(im).any())
-    u = np.stack([re] if real else [re, im])
+    u = np.empty((1 if real else 2, spec.nq * spec.np))
+    for plane, part in zip(u, (v0.real, im)):
+        plane.reshape(spec.nq, spec.np)[...] = part
     stage = _advection(spec, params, kind, len(u), h)
     a, b = u.copy(), u.copy()  # the ring rows of every buffer stay u's
     with np.errstate(over="ignore", invalid="ignore"):
@@ -254,6 +282,7 @@ def rk4_evolve(g0, kind, t, dt, params=Params()):
             stage(u, b, a, 2)
             stage(u, a, b, 1)
             u, b = b, u
+    del stage, a, b  # the stage planes and buffers, before the output
     if not np.isfinite(u).all():
         raise NonFiniteError(f"RK4 state overflowed after {steps} steps "
                              f"(cfl_ratio={ratio:.3g}; lower dt)")

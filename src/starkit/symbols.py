@@ -149,6 +149,11 @@ class GridSpec:
     np: int
 
     def __post_init__(self):
+        for name in ("nq", "np"):
+            n = getattr(self, name)
+            # bool is an int subclass; 201.0 is a float, not a node count
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+                raise ValueError(f"grid {name} must be an integer, not {n!r}")
         bounds = (self.q_min, self.q_max, self.p_min, self.p_max)
         if not all(math.isfinite(b) for b in bounds):
             raise ValueError("grid bounds must be finite")
@@ -518,8 +523,57 @@ def _exponent_grid(e, P, Q, out):
     return out
 
 
+# About this many nodes per array in one row strip of a grid kernel, so that
+# a strip's work arrays stay in a 2 MB L2 share: evaluate_grid and
+# grid_distance walk the lattice, and an RK4 stage its interior rows, in
+# about size / _STRIP_NODES strips (201^2 is one strip of one plane, 401^2
+# five).
+_STRIP_NODES = 1 << 15
+
+
+def _strips(shape, *arrays):
+    """[(rows, [strip of each array])] over the row strips of a lattice.
+
+    The strips split axis 0 of shape into about size / _STRIP_NODES equal
+    heights, the last shorter; rows is their slice, or None for a lattice
+    of one strip.  Each array's strip is flat (ufuncs on small 2-D
+    temporaries cost more per call): an array of the lattice's shape gives
+    a view of its rows where it can, and any other array broadcastable to
+    it (an axis such as p[None, :]) is copied into a strip-sized buffer,
+    as ufuncs run 2-3x slower on a broadcast operand than on a contiguous
+    one.  The next strip overwrites the buffer, so use each strip before
+    taking the next.
+    """
+    lead = shape[0] if shape else 1
+    count = round(math.prod(shape) / _STRIP_NODES)
+    if count <= 1 and all([x.shape == shape for x in arrays]):
+        return [(None, [x.reshape(-1) for x in arrays])]
+    return _strip_views(shape, arrays,
+                        lead if count <= 1 else -(-lead // count))
+
+
+def _strip_views(shape, arrays, height):
+    """The strips of _strips, each height rows but the last."""
+    lead = shape[0] if shape else 1
+    buffers = {}
+    for r0 in range(0, lead, height):
+        rows = None if height == lead else slice(r0, r0 + height)
+        strip = []
+        for k, x in enumerate(arrays):
+            if x.shape == shape:
+                strip.append((x if rows is None else x[rows]).reshape(-1))
+                continue
+            if k not in buffers:
+                buffers[k] = np.empty((height,) + shape[1:])
+            buf = buffers[k][:lead - r0]
+            full = rows is not None and x.ndim == len(shape) and len(x) > 1
+            np.copyto(buf, x[rows] if full else x)
+            strip.append(buf.reshape(-1))
+        yield rows, strip
+
+
 def evaluate_grid(f, P, Q):
-    """Vectorized evaluation on matching arrays of p and q values.
+    """Vectorized evaluation on broadcastable arrays of p and q values.
 
     Terms are grouped by exact exponent equality (exponent_groups); each
     group costs one quadratic form, one exp and one overflow check, times a
@@ -527,37 +581,57 @@ def evaluate_grid(f, P, Q):
     parts of the coefficients go through Horner separately, in real
     arithmetic.  Groups are summed in the order their exponents first
     appear in the canonical term list.
+
+    The broadcast of P and Q is walked a strip of rows (axis 0) at a time,
+    about symbols._STRIP_NODES nodes each (_strips).  One set of
+    strip-sized work arrays serves every strip and group, and each strip's
+    sum is written into the output, so the memory beyond the output is
+    O(strip).  P and Q may be axes, such as p[None, :] and q[:, None]; they
+    are expanded a strip at a time, never to the lattice.  The arithmetic
+    at a node is the same at any strip height.  ExponentOverflowError
+    reports the largest real part, over the whole lattice, of the first
+    group's exponent that overflows.
     """
-    P, Q = np.broadcast_arrays(np.asarray(P, dtype=np.float64),
-                               np.asarray(Q, dtype=np.float64))
-    shape = P.shape
+    P = np.asarray(P, dtype=np.float64)
+    Q = np.asarray(Q, dtype=np.float64)
+    shape = np.broadcast(P, Q).shape
+    values = np.zeros(shape, dtype=np.complex128)
+    if not values.size:
+        return values
     if not (np.isfinite(P).all() and np.isfinite(Q).all()):
         raise NonFiniteError("evaluation points must be finite")
-    P = P.reshape(-1)
-    Q = Q.reshape(-1)
-    values = np.zeros(P.size, dtype=np.complex128)
-    groups = exponent_groups(f)
-    if not groups or not P.size:
-        return values.reshape(shape)
-    # fixed work arrays, updated in place for every group
-    expo = np.empty_like(values)
-    poly = np.empty_like(values)
-    acc_re = np.empty_like(P)
-    acc_im = np.empty_like(P)
-    inner = np.empty_like(P)
-    for e, group in groups.items():
-        re = _horner(_poly_rows(group, "real"), P, Q, acc_re, inner)
-        im = _horner(_poly_rows(group, "imag"), P, Q, acc_im, inner)
+    groups = [(e, _poly_rows(group, "real"), _poly_rows(group, "imag"))
+              for e, group in exponent_groups(f).items()]
+    if not groups:
+        return values
+    work = None
+    for rows, (Ps, Qs) in _strips(shape, P, Q):
+        out = (values if rows is None else values[rows]).reshape(-1)
+        if work is None:  # expo, poly, acc_re, acc_im, inner
+            work = [np.empty_like(out), np.empty_like(out),
+                    np.empty(out.size), np.empty(out.size),
+                    np.empty(out.size)]
+        if not _evaluate_strip(groups, Ps, Qs, out, work if rows is None
+                               else [w[:out.size] for w in work]):
+            raise _overflow(groups, shape, P, Q, work[0])
+    return values
+
+
+def _evaluate_strip(groups, P, Q, values, work):
+    """Add every group at the nodes of one strip into values, in place;
+    False as soon as a group's exponent overflows."""
+    expo, poly, acc_re, acc_im, inner = work
+    for e, re_rows, im_rows in groups:
+        re = _horner(re_rows, P, Q, acc_re, inner)
+        im = _horner(im_rows, P, Q, acc_im, inner)
         if e.is_zero():
             values.real += re
             values.imag += im
             continue
         _exponent_grid(e, P, Q, expo)
-        max_re = expo.real.max()
         # "not <=" also catches a NaN real part
-        if not max_re <= EXP_LIMIT:
-            raise ExponentOverflowError(
-                f"exponent real part {max_re:.3g} exceeds {EXP_LIMIT:g}")
+        if not expo.real.max() <= EXP_LIMIT:
+            return False
         np.exp(expo, out=expo)
         if isinstance(im, np.ndarray) or im:
             poly.real = re
@@ -566,7 +640,24 @@ def evaluate_grid(f, P, Q):
         else:
             expo *= re
         values += expo
-    return values.reshape(shape)
+    return True
+
+
+def _overflow(groups, shape, P, Q, expo):
+    """ExponentOverflowError for the first group whose exponent's real
+    part exceeds EXP_LIMIT (or is NaN) somewhere on the lattice, naming its
+    largest real part there (NaN if any); expo is a strip-sized work
+    array."""
+    for e, _, _ in groups:
+        if e.is_zero():
+            continue
+        peak = np.max([
+            _exponent_grid(e, Ps, Qs, expo[:Ps.size]).real.max()
+            for _, (Ps, Qs) in _strips(shape, P, Q)])
+        if not peak <= EXP_LIMIT:
+            return ExponentOverflowError(
+                f"exponent real part {peak:.3g} exceeds {EXP_LIMIT:g}")
+    raise AssertionError("a strip overflowed but the lattice does not")
 
 
 @dataclass(frozen=True)

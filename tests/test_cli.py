@@ -524,6 +524,9 @@ EXIT_CASES = {
     "grid bound Infinity": (2, "grid bounds must be finite",
                             lambda tmp, mp: _scenario_argv(
         tmp, {"initial": "q", "grid": {**GRID_3, "q_max": math.inf}})),
+    "grid nq not an integer": (2, "grid nq must be an integer, not 21.9",
+                               lambda tmp, mp: _scenario_argv(
+        tmp, {"initial": "q", "grid": {**GRID_3, "nq": 21.9}})),
     "grid flag infinite bound": (2, "grid bounds must be finite",
                                  lambda tmp, mp: [
         "grid", "q", "--grid=-6,inf,-6,6,5,5", "--out", str(tmp / "g.csv")]),

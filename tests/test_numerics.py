@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -131,6 +132,52 @@ def test_series_oracle_divergence_warning():
         numerics.star_series_oracle(rho0, rho0, sk.moyal_star(par), 2,
                                     sym.SAMPLE_SPEC)
 
+
+
+def _slow_standard_pair():
+    """Monomials on two Gaussians whose standard-product series converges
+    slowly: the N = 20 and N = 30 oracles miss the product by 6.4e-7 and
+    5.0e-10, with last orders far below 1e-8 of the sum at N = 30."""
+    e1 = sym.QuadExponent(app=-0.18, aqq=-0.22, bp=0.1)
+    e2 = sym.QuadExponent(app=-0.25, aqq=-0.18, bq=-0.2j)
+    return (sym.normalize([sym.Term(1.0, 0, 1, e1), sym.Term(0.5, 1, 1, e1)]),
+            sym.normalize([sym.Term(0.8, 1, 0, e2)]))
+
+
+@pytest.mark.parametrize("N", [20, 30])
+def test_series_oracle_tail_flags_slow_pair(N):
+    f, g = _slow_standard_pair()
+    star = sk.standard_star()
+    closed = numerics.sample(sk.star_product(f, g, star), sym.SAMPLE_SPEC)
+    with pytest.warns(DivergenceWarning, match="tail past order"):
+        oracle = numerics.star_series_oracle(f, g, star, N, sym.SAMPLE_SPEC,
+                                             tol=1e-12)
+    miss = numerics.grid_distance(oracle, closed)
+    assert 1e-12 < miss < 1e-6
+    # the default tol (1e-8) flags N = 20 only
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", DivergenceWarning)
+        numerics.star_series_oracle(f, g, star, N, sym.SAMPLE_SPEC)
+    assert len(caught) == (N == 20)
+
+
+def test_series_tail_estimate():
+    # exact on a geometric sequence: m_n = 3 * 0.5^n, tail 3 * 0.5^11 / 0.5
+    geometric = [3.0 * 0.5 ** n for n in range(11)]
+    assert numerics._series_tail(geometric) == pytest.approx(3.0 * 0.5 ** 10)
+    # every other order zero: the ratio is taken over two orders
+    assert numerics._series_tail([4.0, 0.0, 1.0, 0.0, 0.25]) == \
+        pytest.approx(0.25 * 0.25 / 0.75)
+    # a ratio of one or more, or a zero order two back under a nonzero end
+    assert numerics._series_tail([1.0, 0.5, 1.0]) == np.inf
+    assert numerics._series_tail([1.0, 0.0, 0.5, 0.1]) == np.inf
+    # two zero last orders end the series; fewer than three orders cannot
+    # be extrapolated unless the last is zero
+    assert numerics._series_tail([2.0, 1.0, 0.0, 0.0]) == 0.0
+    assert numerics._series_tail([2.0, 0.0, 0.0]) == 0.0
+    assert numerics._series_tail([2.0]) == np.inf
+    assert numerics._series_tail([2.0, 1.0]) == np.inf
+    assert numerics._series_tail([0.0]) == 0.0
 
 def _oracle_of_order(N):
     rho0 = sk.sho_wigner_eigenstate(0)
@@ -479,6 +526,114 @@ def test_evaluate_grid_overflow_in_one_group():
     assert np.all(np.isfinite(sym.evaluate_grid(f, P / 2, Q)))
 
 
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+# strip sizes for a 37-row lattice of 23 columns: 5, 7, 16 and 37 strips
+# (heights 8, 6, 3 and 1; none but the last divides 37), and one strip
+_STRIP_SIZES = [170, 115, 53, 23, 1 << 15]
+
+
+@pytest.mark.parametrize("strip_nodes", _STRIP_SIZES)
+def test_evaluate_grid_independent_of_strip_height(strip_nodes, monkeypatch):
+    spec = sym.GridSpec(-3.0, 3.0, -2.5, 2.5, 37, 23)
+    P, Q = spec.meshes()
+    axes = spec.p_values()[None, :], spec.q_values()[:, None]
+    symbols = (_grouped_symbol(), sk.sho_wigner_eigenstate(6),
+               sk.damped_propagator(0.4, sym.Params(gamma=0.2)))
+    whole = [sym.evaluate_grid(f, P, Q) for f in symbols]
+    monkeypatch.setattr(sym, "_STRIP_NODES", strip_nodes)
+    for f, ref in zip(symbols, whole):
+        for PP, QQ in ((P, Q), axes, (axes[0], Q), (P, axes[1])):
+            got = sym.evaluate_grid(f, PP, QQ)
+            assert got.shape == (37, 23)
+            assert np.array_equal(_bits(got), _bits(ref))
+        assert np.array_equal(_bits(numerics.sample(f, spec).values),
+                              _bits(ref))
+
+
+@pytest.mark.parametrize("strip_nodes", [7, 1 << 15])
+def test_evaluate_grid_input_shapes(strip_nodes, monkeypatch):
+    # 0-d, 1-d, 3-d and broadcast inputs, each against pointwise evaluate;
+    # 7-node strips split the 1-d and 3-d inputs along their first axis
+    monkeypatch.setattr(sym, "_STRIP_NODES", strip_nodes)
+    f = _grouped_symbol()
+    rng = np.random.default_rng(24)
+    p3 = rng.uniform(-3.0, 3.0, size=(5, 3, 4))
+    q3 = rng.uniform(-3.0, 3.0, size=(5, 3, 4))
+    q1 = rng.uniform(-3.0, 3.0, size=17)
+    cases = [(np.float64(0.4), -1.2),  # 0-d
+             (rng.uniform(-3.0, 3.0, size=17), q1),  # 1-d
+             (p3, q3),  # 3-d
+             (p3[:, :1, :], q3[0]),  # (5, 1, 4) against (3, 4)
+             (0.3, q1),  # a scalar against an axis
+             (np.linspace(-2, 2, 6)[None, :], np.linspace(-1, 1, 9)[:, None])]
+    for P, Q in cases:
+        PP, QQ = np.broadcast_arrays(np.asarray(P, float),
+                                     np.asarray(Q, float))
+        got = sym.evaluate_grid(f, P, Q)
+        assert got.shape == PP.shape
+        ref = _pointwise(f, PP, QQ)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+        assert np.array_equal(_bits(got), _bits(sym.evaluate_grid(f, PP, QQ)))
+    assert sym.evaluate_grid(f, np.zeros((0, 3)), 1.0).shape == (0, 3)
+
+
+@pytest.mark.parametrize("strip_nodes", [3, 1 << 15])
+def test_evaluate_grid_overflow_reports_lattice_maximum(strip_nodes,
+                                                        monkeypatch):
+    # rows run over q = -30, -20, ..., 40; 3-node strips are single rows
+    monkeypatch.setattr(sym, "_STRIP_NODES", strip_nodes)
+    p, q = np.array([[0.0, 1.0, 2.0]]), np.linspace(-30.0, 40.0, 8)[:, None]
+    # q^2 overflows in the first row (900), and peaks in the last (1600)
+    with pytest.raises(ExponentOverflowError, match=r"1\.6e\+03 exceeds"):
+        sym.evaluate_grid(sym.gaussian(1.0, aqq=1.0), p, q)
+    # the first group overflows only in the last row (0.5 q^2 + 5q: 1000),
+    # the second already in the first (q^2 - 20q: 1500): the first is named
+    f = sym.gaussian(2.0, aqq=0.5, bq=5.0) + sym.gaussian(1.0, aqq=1.0,
+                                                          bq=-20.0)
+    assert next(iter(sym.exponent_groups(f))).aqq == 0.5
+    with pytest.raises(ExponentOverflowError, match=r"1e\+03 exceeds"):
+        sym.evaluate_grid(f, p, q)
+
+
+@pytest.mark.parametrize("strip_nodes", [50, 1 << 15])
+def test_grid_distance_strip_by_strip(strip_nodes, monkeypatch):
+    spec = sym.GridSpec(-3.0, 3.0, -3.0, 3.0, 41, 17)
+    g1 = numerics.sample(_grouped_symbol(), spec)
+    g2 = numerics.sample(sk.sho_wigner_eigenstate(3), spec)
+    monkeypatch.setattr(sym, "_STRIP_NODES", strip_nodes)
+    assert numerics.grid_distance(g1, g2) == np.abs(g1.values
+                                                   - g2.values).max()
+
+
+def _peak_above(call):
+    """(result, peak traced bytes in MB above those at the call's start)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = call()
+        return out, (tracemalloc.get_traced_memory()[1] - base) / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_sample_memory_is_output_plus_a_strip():
+    spec = sym.GridSpec(-6.0, 6.0, -6.0, 6.0, 401, 401)
+    rho = sk.sho_wigner_eigenstate(24)
+    grid, peak = _peak_above(lambda: numerics.sample(rho, spec))
+    assert peak <= grid.values.nbytes / 1e6 + 4.0
+
+
+def test_rk4_memory_above_a_real_input():
+    spec = sym.GridSpec(-6.0, 6.0, -6.0, 6.0, 401, 401)
+    g0 = numerics.sample(sym.gaussian(1.0, app=-1.0, aqq=-1.0), spec)
+    _, peak = _peak_above(lambda: numerics.rk4_evolve(
+        g0, "damped", 2e-3, 1e-3, sym.Params(gamma=0.1)))
+    assert peak <= 10.0
+
 def test_advection_operator_exact_on_quartic():
     spec = sym.GridSpec(-1.0, 2.0, -1.5, 1.0, 13, 11)
     par = sym.Params(m=1.3, omega=0.7, hbar=0.9, gamma=0.3)
@@ -654,7 +809,7 @@ def test_rk4_independent_of_strip_height(kind, amplitude, monkeypatch):
     g0 = _stage_state(n, amplitude)
     whole = numerics.rk4_evolve(g0, kind, 0.02, 1e-3, par)
     planes = 1 if kind == "damped" and amplitude == 1.0 else 2
-    monkeypatch.setattr(numerics, "_STRIP_NODES", 3 * planes * n)
+    monkeypatch.setattr(sym, "_STRIP_NODES", 3 * planes * n)
     strips = numerics.rk4_evolve(g0, kind, 0.02, 1e-3, par)
     assert _same_bits(strips.values.real, whole.values.real)
     assert _same_bits(strips.values.imag, whole.values.imag)

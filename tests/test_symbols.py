@@ -334,3 +334,18 @@ def test_grid_spec_validation():
         sym.GridSpec(1.0, -1.0, -1.0, 1.0, 5, 5)
     with pytest.raises(ValueError):
         sym.GridSpec(-1.0, 1.0, -1.0, 1.0, 1, 5)
+
+
+@pytest.mark.parametrize("count", [21.9, 201.0, True, "201", None],
+                         ids=repr)
+def test_grid_spec_rejects_non_integer_counts(count):
+    for counts in ((count, 5), (5, count)):
+        name = "nq" if counts[0] is count else "np"
+        with pytest.raises(ValueError,
+                           match=f"grid {name} must be an integer"):
+            sym.GridSpec(-1.0, 1.0, -1.0, 1.0, *counts)
+
+
+def test_grid_spec_accepts_numpy_integers():
+    spec = sym.GridSpec(-1.0, 1.0, -1.0, 1.0, np.int64(5), 7)
+    assert spec.meshes()[0].shape == (5, 7)
