@@ -23,6 +23,10 @@ from .symbols import GridSpec, Params
 # below 1e-8 outside it.
 WIDE_SPEC = GridSpec(-6.0, 6.0, -6.0, 6.0, 201, 201)
 
+# star_series_oracle warns when its estimated tail past order N exceeds this
+# on the grid.
+_SERIES_TAIL_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class PhaseGrid:
@@ -49,11 +53,11 @@ def sample(f, spec):
 
 def grid_distance(g1, g2):
     """Sup-norm of the difference of two grids over one lattice, taken a
-    strip of rows at a time (symbols._STRIP_NODES)."""
+    strip of rows at a time (symbols.row_strips)."""
     if g1.spec != g2.spec:
         raise SpecMismatchError("grids sampled on different lattices")
-    return max(float(np.abs(a - b).max()) for _, (a, b) in
-               sym._strips(g1.values.shape, g1.values, g2.values))
+    return max(float(np.abs(g1.values[rows] - g2.values[rows]).max())
+               for rows in sym.row_strips(g1.values.shape))
 
 
 def gauss_legendre_2d(func, q_lo, q_hi, p_lo, p_hi, order=60):
@@ -68,15 +72,15 @@ def gauss_legendre_2d(func, q_lo, q_hi, p_lo, p_hi, order=60):
     return complex(wq @ vals @ wp)
 
 
-def star_series_oracle(f, g, star, N, spec, tol=1e-8):
+def star_series_oracle(f, g, star, N, spec):
     """Grid evaluation of the truncated bidifferential series of f star g.
 
     Sums the orders n <= N (an integer, at most 40) of star._series_orders
     with each symbolic derivative sampled on the grid once; independent of
     the closed-form Gaussian star path, so agreement with it is evidence.
     Warns (DivergenceWarning) when the tail past order N, extrapolated
-    geometrically from the sup norms of the last three orders
-    (_series_tail), exceeds tol on the grid.
+    geometrically from the sup norms of the last orders (_series_tail),
+    exceeds _SERIES_TAIL_TOL on the grid.
     """
     if not isinstance(N, (int, np.integer)) or not 0 <= N <= 40:
         raise ValueError("truncation order must be an integer in [0, 40]")
@@ -96,29 +100,32 @@ def star_series_oracle(f, g, star, N, spec, tol=1e-8):
         total += order_vals
         sizes.append(float(np.abs(order_vals).max()))
     tail = _series_tail(sizes)
-    if not tail <= tol:
+    if not tail <= _SERIES_TAIL_TOL:
         warnings.warn(f"series tail past order {N} estimated at {tail:.3g} "
-                      f"exceeds tol = {tol:.3g}", DivergenceWarning)
+                      f"exceeds {_SERIES_TAIL_TOL:.3g}", DivergenceWarning)
     return PhaseGrid(spec, total)
 
 
 def _series_tail(sizes):
     """Geometric estimate of the sum of the orders past the last of sizes.
 
-    sizes are the sup norms m_0..m_N of the kept orders.  With the ratio
-    r = m_N / m_{N-2} over two orders, the orders past N are taken as
-    (m_{N-1}, m_N) times r, r^2, ..., so the tail is
-    (m_{N-1} + m_N) r / (1 - r): exact for m_n = C s^n, and unaffected
-    where every other order vanishes (products of functions of one
-    quadratic form, such as rho_0 star rho_0).  It is infinite for r >= 1
-    or m_{N-2} = 0 under a nonzero end, and for fewer than three orders
-    unless the last is zero; two zero last orders end the series.
+    sizes are the sup norms m_0..m_N of the kept orders.  The last two
+    pairs of orders give the ratio r = (m_{N-1} + m_N) / (m_{N-3} +
+    m_{N-2}), and the pairs past N are taken as (m_{N-1} + m_N) times r,
+    r^2, ..., so the tail is (m_{N-1} + m_N) r / (1 - r): exact for m_n =
+    C s^n.  Where the orders of one parity vanish (products of functions
+    of one quadratic form, such as rho_0 star rho_0, down to rounding), r
+    is the other parity's ratio over two orders at odd and even N alike.
+    The tail is infinite for r >= 1, for a zero denominator, and for fewer
+    than four orders; two zero last orders end the series.
     """
-    if len(sizes) < 3 or not sizes[-3]:
-        return 0.0 if not any(sizes[-2:]) else np.inf
-    a, b, c = sizes[-3:]
-    r = c / a
-    return (b + c) * r / (1.0 - r) if r < 1.0 else np.inf
+    if not any(sizes[-2:]):
+        return 0.0
+    if len(sizes) < 4 or not sizes[-4] + sizes[-3]:
+        return np.inf
+    last = sizes[-2] + sizes[-1]
+    r = last / (sizes[-4] + sizes[-3])
+    return last * r / (1.0 - r) if r < 1.0 else np.inf
 
 
 def _advection_fields(spec, params, kind):
@@ -148,7 +155,7 @@ def _advection(spec, params, kind, planes, h):
 
     L is the advection operator of rk4_evolve; the outer ring of out is left
     as u's (rows are never written, columns are copied back).  Rows run in
-    strips of about symbols._STRIP_NODES doubles; the one-sided edge rows
+    strips of symbols.strip_height rows; the one-sided edge rows
     and columns are formed once per stage on the whole plane, so the
     result does not depend on the strip height.
     """
@@ -161,8 +168,7 @@ def _advection(spec, params, kind, planes, h):
           * np.array([[1.0], [-1.0]]) if kind == "naive" else None)
     scaled = {k: (h / k * cq, h / k * cp, None if cx is None else h / k * cx)
               for k in (1, 2, 3, 4)}
-    strips = max(1, round(planes * (nq - 2) * n_p / sym._STRIP_NODES))
-    rows = -(-(nq - 2) // strips)  # strips of equal height, the last shorter
+    rows = sym.strip_height(nq - 2, planes * n_p)
     tmp = np.zeros((planes, rows * n_p))
     ep, ex = np.zeros((planes, nq, 2)), np.zeros((planes, nq, 2))
     edge = np.array([-3.0, -10.0, 18.0, -6.0, 1.0])  # one-sided, at x[1]

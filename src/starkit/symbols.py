@@ -526,50 +526,25 @@ def _exponent_grid(e, P, Q, out):
 # About this many nodes per array in one row strip of a grid kernel, so that
 # a strip's work arrays stay in a 2 MB L2 share: evaluate_grid and
 # grid_distance walk the lattice, and an RK4 stage its interior rows, in
-# about size / _STRIP_NODES strips (201^2 is one strip of one plane, 401^2
-# five).
+# strips of strip_height rows (201^2 is one strip of one plane, 401^2 five).
 _STRIP_NODES = 1 << 15
 
 
-def _strips(shape, *arrays):
-    """[(rows, [strip of each array])] over the row strips of a lattice.
+def strip_height(rows, row_nodes):
+    """Rows per strip of a lattice of rows rows of row_nodes nodes each.
 
-    The strips split axis 0 of shape into about size / _STRIP_NODES equal
-    heights, the last shorter; rows is their slice, or None for a lattice
-    of one strip.  Each array's strip is flat (ufuncs on small 2-D
-    temporaries cost more per call): an array of the lattice's shape gives
-    a view of its rows where it can, and any other array broadcastable to
-    it (an axis such as p[None, :]) is copied into a strip-sized buffer,
-    as ufuncs run 2-3x slower on a broadcast operand than on a contiguous
-    one.  The next strip overwrites the buffer, so use each strip before
-    taking the next.
+    The rows split into about rows * row_nodes / _STRIP_NODES strips of
+    equal height, the last shorter; under 1.5 strips' nodes make one.
     """
-    lead = shape[0] if shape else 1
-    count = round(math.prod(shape) / _STRIP_NODES)
-    if count <= 1 and all([x.shape == shape for x in arrays]):
-        return [(None, [x.reshape(-1) for x in arrays])]
-    return _strip_views(shape, arrays,
-                        lead if count <= 1 else -(-lead // count))
+    strips = max(1, round(rows * row_nodes / _STRIP_NODES))
+    return -(-rows // strips)
 
 
-def _strip_views(shape, arrays, height):
-    """The strips of _strips, each height rows but the last."""
-    lead = shape[0] if shape else 1
-    buffers = {}
-    for r0 in range(0, lead, height):
-        rows = None if height == lead else slice(r0, r0 + height)
-        strip = []
-        for k, x in enumerate(arrays):
-            if x.shape == shape:
-                strip.append((x if rows is None else x[rows]).reshape(-1))
-                continue
-            if k not in buffers:
-                buffers[k] = np.empty((height,) + shape[1:])
-            buf = buffers[k][:lead - r0]
-            full = rows is not None and x.ndim == len(shape) and len(x) > 1
-            np.copyto(buf, x[rows] if full else x)
-            strip.append(buf.reshape(-1))
-        yield rows, strip
+def row_strips(shape):
+    """Slices of axis 0 of shape, strip_height rows each but the last."""
+    lead = shape[0]
+    height = strip_height(lead, math.prod(shape[1:]))
+    return [slice(r0, r0 + height) for r0 in range(0, lead, height)]
 
 
 def evaluate_grid(f, P, Q):
@@ -583,7 +558,7 @@ def evaluate_grid(f, P, Q):
     appear in the canonical term list.
 
     The broadcast of P and Q is walked a strip of rows (axis 0) at a time,
-    about symbols._STRIP_NODES nodes each (_strips).  One set of
+    about symbols._STRIP_NODES nodes each (row_strips).  One set of
     strip-sized work arrays serves every strip and group, and each strip's
     sum is written into the output, so the memory beyond the output is
     O(strip).  P and Q may be axes, such as p[None, :] and q[:, None]; they
@@ -594,26 +569,36 @@ def evaluate_grid(f, P, Q):
     """
     P = np.asarray(P, dtype=np.float64)
     Q = np.asarray(Q, dtype=np.float64)
-    shape = np.broadcast(P, Q).shape
-    values = np.zeros(shape, dtype=np.complex128)
-    if not values.size:
-        return values
     if not (np.isfinite(P).all() and np.isfinite(Q).all()):
         raise NonFiniteError("evaluation points must be finite")
+    shape = np.broadcast(P, Q).shape
+    if not shape:  # one node: a lattice of one row
+        return evaluate_grid(f, P.reshape(1), Q.reshape(1)).reshape(())
+    # views; an axis such as p[None, :] is expanded a strip at a time below
+    if P.shape != shape:
+        P = np.broadcast_to(P, shape)
+    if Q.shape != shape:
+        Q = np.broadcast_to(Q, shape)
+    values = np.zeros(shape, dtype=np.complex128)
     groups = [(e, _poly_rows(group, "real"), _poly_rows(group, "imag"))
               for e, group in exponent_groups(f).items()]
-    if not groups:
+    if not groups or not values.size:
         return values
     work = None
-    for rows, (Ps, Qs) in _strips(shape, P, Q):
-        out = (values if rows is None else values[rows]).reshape(-1)
-        if work is None:  # expo, poly, acc_re, acc_im, inner
-            work = [np.empty_like(out), np.empty_like(out),
-                    np.empty(out.size), np.empty(out.size),
-                    np.empty(out.size)]
-        if not _evaluate_strip(groups, Ps, Qs, out, work if rows is None
+    for rows in row_strips(shape):
+        # flat strips, as ufuncs on small 2-D operands cost more per call: a
+        # view of contiguous rows, else a strip-sized copy (ufuncs run 2-3x
+        # slower on a broadcast operand)
+        Ps, Qs = P[rows].reshape(-1), Q[rows].reshape(-1)
+        out = values[rows].reshape(-1)
+        if work is None:  # expo, poly, acc_re, acc_im, inner; the first
+            n = out.size  # strip is the largest
+            work = [np.empty(n, dtype=np.complex128),
+                    np.empty(n, dtype=np.complex128),
+                    np.empty(n), np.empty(n), np.empty(n)]
+        if not _evaluate_strip(groups, Ps, Qs, out, work if out.size == n
                                else [w[:out.size] for w in work]):
-            raise _overflow(groups, shape, P, Q, work[0])
+            raise _overflow(groups, P, Q, work[0])
     return values
 
 
@@ -643,17 +628,19 @@ def _evaluate_strip(groups, P, Q, values, work):
     return True
 
 
-def _overflow(groups, shape, P, Q, expo):
+def _overflow(groups, P, Q, expo):
     """ExponentOverflowError for the first group whose exponent's real
-    part exceeds EXP_LIMIT (or is NaN) somewhere on the lattice, naming its
-    largest real part there (NaN if any); expo is a strip-sized work
-    array."""
+    part exceeds EXP_LIMIT (or is NaN) somewhere on the lattice of P and Q,
+    naming its largest real part there (NaN if any); expo is a work array
+    of the largest strip's size."""
     for e, _, _ in groups:
         if e.is_zero():
             continue
-        peak = np.max([
-            _exponent_grid(e, Ps, Qs, expo[:Ps.size]).real.max()
-            for _, (Ps, Qs) in _strips(shape, P, Q)])
+        peaks = []
+        for rows in row_strips(P.shape):
+            Ps, Qs = P[rows].reshape(-1), Q[rows].reshape(-1)
+            peaks.append(_exponent_grid(e, Ps, Qs, expo[:Ps.size]).real.max())
+        peak = np.max(peaks)
         if not peak <= EXP_LIMIT:
             return ExponentOverflowError(
                 f"exponent real part {peak:.3g} exceeds {EXP_LIMIT:g}")

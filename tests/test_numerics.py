@@ -116,13 +116,18 @@ def test_series_oracle_flags_boundary_pair():
 
 
 def test_series_oracle_propagator_inverse():
+    # U* and U are functions of one quadratic form, so the odd orders
+    # vanish (down to rounding): silent at odd N as at even N
     par = sym.Params()
     U = sk.undamped_propagator(0.3, par)
-    oracle = numerics.star_series_oracle(sym.conjugate(U), U,
-                                         sk.moyal_star(par), 30,
-                                         sym.SAMPLE_SPEC)
     ones = numerics.sample(sym.ONE, sym.SAMPLE_SPEC)
-    assert numerics.grid_distance(oracle, ones) <= 1e-7
+    for N in (29, 30):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DivergenceWarning)
+            oracle = numerics.star_series_oracle(sym.conjugate(U), U,
+                                                 sk.moyal_star(par), N,
+                                                 sym.SAMPLE_SPEC)
+        assert numerics.grid_distance(oracle, ones) <= 1e-7
 
 
 def test_series_oracle_divergence_warning():
@@ -131,7 +136,6 @@ def test_series_oracle_divergence_warning():
     with pytest.warns(DivergenceWarning):
         numerics.star_series_oracle(rho0, rho0, sk.moyal_star(par), 2,
                                     sym.SAMPLE_SPEC)
-
 
 
 def _slow_standard_pair():
@@ -145,39 +149,53 @@ def _slow_standard_pair():
 
 
 @pytest.mark.parametrize("N", [20, 30])
-def test_series_oracle_tail_flags_slow_pair(N):
+def test_series_oracle_tail_flags_slow_pair(N, monkeypatch):
     f, g = _slow_standard_pair()
     star = sk.standard_star()
     closed = numerics.sample(sk.star_product(f, g, star), sym.SAMPLE_SPEC)
-    with pytest.warns(DivergenceWarning, match="tail past order"):
-        oracle = numerics.star_series_oracle(f, g, star, N, sym.SAMPLE_SPEC,
-                                             tol=1e-12)
-    miss = numerics.grid_distance(oracle, closed)
-    assert 1e-12 < miss < 1e-6
-    # the default tol (1e-8) flags N = 20 only
+    # the tolerance (1e-8) flags N = 20 only
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DivergenceWarning)
-        numerics.star_series_oracle(f, g, star, N, sym.SAMPLE_SPEC)
+        oracle = numerics.star_series_oracle(f, g, star, N, sym.SAMPLE_SPEC)
     assert len(caught) == (N == 20)
+    miss = numerics.grid_distance(oracle, closed)
+    assert 1e-12 < miss < 1e-6
+    # a tolerance below the miss flags both
+    monkeypatch.setattr(numerics, "_SERIES_TAIL_TOL", 1e-12)
+    with pytest.warns(DivergenceWarning, match="tail past order"):
+        numerics.star_series_oracle(f, g, star, N, sym.SAMPLE_SPEC)
 
 
 def test_series_tail_estimate():
     # exact on a geometric sequence: m_n = 3 * 0.5^n, tail 3 * 0.5^11 / 0.5
     geometric = [3.0 * 0.5 ** n for n in range(11)]
     assert numerics._series_tail(geometric) == pytest.approx(3.0 * 0.5 ** 10)
-    # every other order zero: the ratio is taken over two orders
+    # every other order zero: the ratio is the other parity's over two
+    # orders, at even and at odd N, and rounding in the zero orders does
+    # not move it
     assert numerics._series_tail([4.0, 0.0, 1.0, 0.0, 0.25]) == \
         pytest.approx(0.25 * 0.25 / 0.75)
-    # a ratio of one or more, or a zero order two back under a nonzero end
-    assert numerics._series_tail([1.0, 0.5, 1.0]) == np.inf
-    assert numerics._series_tail([1.0, 0.0, 0.5, 0.1]) == np.inf
-    # two zero last orders end the series; fewer than three orders cannot
-    # be extrapolated unless the last is zero
+    assert numerics._series_tail([4.0, 0.0, 1.0, 0.0]) == \
+        pytest.approx(1.0 * 0.25 / 0.75)
+    assert numerics._series_tail([4.0, 1e-17, 1.0, 3e-17]) == \
+        pytest.approx(1.0 * 0.25 / 0.75)
+    # the slow standard pair's last orders at N = 30 (sup norms on
+    # SAMPLE_SPEC): 8e-10 against a miss of 5.0e-10
+    assert numerics._series_tail([1.126e-8, 9.497e-10, 2.633e-9,
+                                  1.187e-10]) == pytest.approx(8.0e-10,
+                                                               rel=0.01)
+    # a ratio of one or more, or a zero denominator
+    assert numerics._series_tail([1.0, 0.5, 1.0, 0.6]) == np.inf
+    assert numerics._series_tail([1.0, 0.0, 0.0, 0.5, 0.1]) == np.inf
+    # two zero last orders end the series; fewer than four orders cannot
+    # be extrapolated unless the last two are zero
     assert numerics._series_tail([2.0, 1.0, 0.0, 0.0]) == 0.0
     assert numerics._series_tail([2.0, 0.0, 0.0]) == 0.0
+    assert numerics._series_tail([4.0, 0.0, 1.0]) == np.inf
     assert numerics._series_tail([2.0]) == np.inf
     assert numerics._series_tail([2.0, 1.0]) == np.inf
     assert numerics._series_tail([0.0]) == 0.0
+
 
 def _oracle_of_order(N):
     rho0 = sk.sho_wigner_eigenstate(0)
@@ -526,7 +544,6 @@ def test_evaluate_grid_overflow_in_one_group():
     assert np.all(np.isfinite(sym.evaluate_grid(f, P / 2, Q)))
 
 
-
 def _bits(x):
     return np.ascontiguousarray(x).view(np.uint64)
 
@@ -633,6 +650,7 @@ def test_rk4_memory_above_a_real_input():
     _, peak = _peak_above(lambda: numerics.rk4_evolve(
         g0, "damped", 2e-3, 1e-3, sym.Params(gamma=0.1)))
     assert peak <= 10.0
+
 
 def test_advection_operator_exact_on_quartic():
     spec = sym.GridSpec(-1.0, 2.0, -1.5, 1.0, 13, 11)
