@@ -23,10 +23,13 @@
   by `ab_rows.py`): poly6 star poly6 and poly4 star a
   two-term class member (seeded `verify` draws) under each of the four
   products, damped H star rho_6 and rho_6 star H, `star_exp_truncated` of
-  -0.1i H under the damped product to order 12, and the husimi
-  `star_series_oracle` of the class member and a Gaussian at N = 12 on
-  the 9x9 sample lattice (its divergence warning silenced: N = 12 is a
-  timing input).
+  -0.1i H under the damped product to order 12, and under the moyal and
+  damped products to order 20 (the `propagator` suite's two star
+  exponentials), `transition.check_equivalence` on the 100 seeded
+  polynomial pairs of the `equivalence` suite (damped 0.1 setup), and the
+  husimi `star_series_oracle` of the class member and a Gaussian at
+  N = 12 on the 9x9 sample lattice (its divergence warning silenced:
+  N = 12 is a timing input).
 - `normalize` on the terms of the Wigner state n = 24 repeated three
   times (975 raw terms, one exponent), and `parse` of its printed form.
 - `export_grid` (CSV and JSON) and `load_grid` on `WIDE_SPEC` of the
@@ -227,11 +230,24 @@ def series_cases(pkg):
                      lambda s=star: pkg.star_product(p4, member, s)))
     gauss = pkg.gaussian(1.0, app=-0.25, aqq=-0.3, bq=0.2)
     spec = pkg.GridSpec(-3.0, 3.0, -3.0, 3.0, 9, 9)
+    # the equivalence suite's pairs and its damped setup
+    pair_rng = np.random.default_rng(20240811)
+    pairs = [(draw._random_polynomial(pair_rng),
+              draw._random_polynomial(pair_rng)) for _ in range(100)]
+    params = pkg.Params(gamma=0.1)
+    setup = (pkg.moyal_star(params), pkg.damped_star(0.1, params),
+             pkg.damped_transition(0.1, params))
     return rows + [
         ("damped, H * rho_6", lambda: pkg.star_product(H, rho6, damped)),
         ("damped, rho_6 * H", lambda: pkg.star_product(rho6, H, damped)),
         ("damped, star_exp_truncated(-0.1i H, 12)",
          lambda: pkg.star_exp_truncated(-0.1j * H, damped, 12)),
+        ("moyal, star_exp_truncated(-0.1i H, 20)",
+         lambda: pkg.star_exp_truncated(-0.1j * H, pkg.moyal_star(), 20)),
+        ("damped, star_exp_truncated(-0.1i H, 20)",
+         lambda: pkg.star_exp_truncated(-0.1j * H, damped, 20)),
+        ("damped, check_equivalence on 100 polynomial pairs",
+         lambda: [pkg.check_equivalence(f, g, *setup) for f, g in pairs]),
         ("husimi oracle, member * Gaussian, N = 12",
          lambda: pkg.star_series_oracle(member, gauss, pkg.husimi_star(1.0),
                                         12, spec))]

@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+import time
 
 from . import dynamics, numerics, oscillator, transition, verify
 from . import symbols as sym
@@ -201,6 +202,8 @@ def cmd_eigen(args):
     """rho = T_gamma(rho_nn'), T_0 the identity, rho_nn the stationary state;
     H *_gamma rho = E rho and rho *_gamma H = E' rho, E = E_n + i hbar gamma/2.
     """
+    if not args.tol > 0:
+        raise ValueError(f"--tol must be positive, not {args.tol!r}")
     params = _params_from_args(args)
     n, nprime = args.n, args.n if args.nprime is None else args.nprime
     base = (oscillator.sho_wigner_eigenstate(n, params) if args.nprime is None
@@ -244,11 +247,24 @@ def cmd_verify(args):
     all_ok = True
     for name in names:
         desc, fn = verify.SUITES[name]
-        print(f"== {name}: {desc}")
-        for check in fn():
-            print("  " + check.line())
+        if not args.json:
+            print(f"== {name}: {desc}")
+        t0 = time.perf_counter()
+        checks = fn()
+        seconds = time.perf_counter() - t0
+        for check in checks:
+            if args.json:  # values may be numpy scalars, which json rejects
+                print(json.dumps({"suite": name, "name": check.name,
+                                  "value": float(check.value),
+                                  "threshold": float(check.threshold),
+                                  "relation": check.relation,
+                                  "passed": bool(check.passed),
+                                  "seconds": seconds}))
+            else:
+                print("  " + check.line())
             all_ok = all_ok and check.passed
-    print("verification " + ("PASSED" if all_ok else "FAILED"))
+    if not args.json:
+        print("verification " + ("PASSED" if all_ok else "FAILED"))
     return 0 if all_ok else EXIT_CHECK_FAILED
 
 
@@ -287,11 +303,15 @@ def build_parser():
     p.add_argument("n", type=int)
     p.add_argument("nprime", type=int, nargs="?")
     _add_param_flags(p, "m", "omega", "hbar", "gamma")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=finite, default=1e-10,
+                   help="residual mark threshold, > 0")
     p.set_defaults(func=cmd_eigen)
 
     p = sub.add_parser("verify", help="run identity/property suites")
     p.add_argument("suite", nargs="?", default="all")
+    p.add_argument("--json", action="store_true",
+                   help="one JSON object per check row, with the suite's "
+                   "wall time in seconds")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("grid", help="sample an expression and export it")

@@ -9,14 +9,19 @@ the right by dR.  Four configurations of one engine:
     standard   B = [[0, i*hbar], [0, 0]]
     husimi(s)  moyal + (hbar/2) diag(s^2, 1/s^2)
 
-Products are exact on the whole class.  With a pure-polynomial side the
-series terminates at its degree; one generator, _series_orders, yields it
-order by order to _series_star and to numerics.star_series_oracle.
-Otherwise, in the doubled space (y, z), exp(dL^T B dR) is
-exp((1/2) grad^T S grad) with S = [[0, B], [B^T, 0]] followed by y = z = x,
-and _group_image, the one Gaussian-group kernel (transition._image calls it
-with d = 2), applies it per pair of groups, alone forming, guarding and
-inverting K = I - 2 S M.
+Products are exact on the whole class, by one of three routes:
+
+- two polynomials: _polynomial_star, on one dense coefficient array over
+  the doubled space (y, z), one terminating factor exp(B_ij d_yi d_zj) per
+  nonzero B_ij, then y = z = x;
+- one polynomial side: the series terminates at its degree; one generator,
+  _series_orders, yields it order by order to _series_star and to
+  numerics.star_series_oracle;
+- no polynomial side: in the doubled space exp(dL^T B dR) is
+  exp((1/2) grad^T S grad) with S = [[0, B], [B^T, 0]] followed by
+  y = z = x, and _group_image, the one Gaussian-group kernel
+  (transition._image calls it with d = 2), applies it per pair of groups,
+  alone forming, guarding and inverting K = I - 2 S M.
 """
 
 import cmath
@@ -136,6 +141,68 @@ def _series_star(f, g, B, n_max):
     return sym.normalize(raw)
 
 
+def _coefficient_array(f):
+    """A polynomial symbol as the complex array F[pow_q, pow_p]."""
+    F = np.zeros((max(t.pow_q for t in f.terms) + 1,
+                  max(t.pow_p for t in f.terms) + 1), dtype=np.complex128)
+    for t in f.terms:
+        F[t.pow_q, t.pow_p] = t.coeff
+    return F
+
+
+def _polynomial_star(f, g, B):
+    """Exact product of two nonzero polynomials on dense coefficient arrays.
+
+    In the doubled space T = F (x) G over (y_q, y_p, z_q, z_p).  Each
+    nonzero B_ij applies exp(B_ij d_{y_i} d_{z_j}), the factors commuting:
+    the terminating sum over k of B_ij^k / k! times T shifted down by k on
+    axes i and 2 + j, weighted by the falling factorials (u + k)! / u! of
+    both.  y = z = x then sums T[a, b, c, d] into H[a + c, b + d], and H
+    becomes the Symbol in normalize's canonical order, zeros pruned and no
+    part -0.0.  T has one entry per pair of (pow_q, pow_p) cells of F and
+    G, so two dense operands of degree d take O(d^4) memory.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        T = np.multiply.outer(_coefficient_array(f), _coefficient_array(g))
+        for i in (0, 1):
+            for j in (0, 1):
+                if B[i][j]:
+                    T = _exp_factor(T, complex(B[i][j]), i, 2 + j)
+        width = T.shape[1] + T.shape[3] - 1  # pow_p of H runs to width - 1
+        a, b, c, d = np.ix_(*(np.arange(n) for n in T.shape))
+        flat = ((a + c) * width + (b + d)).ravel()
+        size = (T.shape[0] + T.shape[2] - 1) * width
+        # + 0.0 makes every zero part +0.0, as normalize's sums do
+        re, im = (np.bincount(flat, part.ravel(), size) + 0.0
+                  for part in (T.real, T.imag))
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise NonFiniteError("non-finite coefficient in a polynomial product")
+    keep = np.flatnonzero((re != 0) | (im != 0))
+    pq, pp = np.divmod(keep, width)
+    # descending total degree, then pow_p (which fixes pow_q); keys unique
+    order = np.argsort(-((pq + pp) * width + pp))
+    keep, pq, pp = keep[order], pq[order].tolist(), pp[order].tolist()
+    return sym.Symbol(tuple(
+        Term(complex(x, y), p, q, sym.ZERO_EXPO) for x, y, p, q in
+        zip(re[keep].tolist(), im[keep].tolist(), pp, pq)))
+
+
+def _exp_factor(T, beta, i, j):
+    """exp(beta d_i d_j) T for two distinct axes i, j of a coefficient
+    array indexed by powers; the sum ends with the shorter axis."""
+    out = T.copy()
+    src, dst = (np.moveaxis(x, (i, j), (0, 1)) for x in (T, out))
+    wi, wj, c = np.ones(T.shape[i]), np.ones(T.shape[j]), 1.0 + 0j
+    for k in range(1, min(T.shape[i], T.shape[j])):
+        c *= beta / k
+        # (u + k)! / u! from (u + 1 + k - 1)! / (u + 1)! times (u + 1)
+        wi = wi[1:] * np.arange(1, len(wi))
+        wj = wj[1:] * np.arange(1, len(wj))
+        w = c * np.multiply.outer(wi, wj)
+        dst[:len(wi), :len(wj)] += w[:, :, None, None] * src[k:, k:]
+    return out
+
+
 def _sqrt_prefactor(det):
     """Principal-branch 1/sqrt(det) with singularity and branch guards."""
     if abs(det) < SINGULAR_TOL:
@@ -175,13 +242,16 @@ def _group_image(P, M, beta, S, E):
 def star_product(f, g, star):
     """Exact star product of two class members.
 
-    A polynomial operand gives a series that ends at its degree.  Otherwise
-    each pair of groups goes through _group_image in the doubled space.
+    Two polynomials go through _polynomial_star; one polynomial operand
+    gives a series (_series_star) that ends at its degree; otherwise each
+    pair of groups goes through _group_image in the doubled space.
     """
     if f.is_zero() or g.is_zero():
         return sym.ZERO
     B = star.matrix()
     degrees = [h.degree() for h in (f, g) if h.is_polynomial()]
+    if len(degrees) == 2:
+        return _polynomial_star(f, g, B)
     if degrees:
         return _series_star(f, g, B, min(degrees))
     zero = np.zeros((2, 2))

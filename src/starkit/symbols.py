@@ -200,7 +200,9 @@ def normalize(raw):
 
     Exponents within MERGE_TOL of an earlier representative are identified
     with it; terms sharing (pow_p, pow_q, exponent) merge by coefficient
-    addition; zero coefficients are pruned; ordering is by descending
+    addition, each part summed by math.fsum (correctly rounded, so
+    independent of the order the terms arrive in; a lone coefficient c
+    becomes 0 + c); zero coefficients are pruned; ordering is by descending
     (total degree, pow_p, pow_q) then lexicographic exponent.  Each
     distinct exponent is checked and placed once.
     """
@@ -218,10 +220,15 @@ def normalize(raw):
     out = []
     for pp, pq, idx in sorted(buckets, key=lambda k: (
             -(k[0] + k[1]), -k[0], -k[1], keys[k[2]])):
-        # summation order fixed by value, so the result is independent of
-        # the order the raw terms arrived in
-        cs = sorted(buckets[pp, pq, idx], key=lambda z: (z.real, z.imag))
-        c = _check_finite(sum(cs))  # a sum of finite terms can overflow
+        cs = buckets[pp, pq, idx]
+        if len(cs) == 1:
+            c = 0 + cs[0]
+        else:
+            try:  # a sum of finite terms can overflow
+                c = 0 + complex(math.fsum([z.real for z in cs]),
+                                math.fsum([z.imag for z in cs]))
+            except OverflowError:
+                raise NonFiniteError("coefficient sum overflows") from None
         if c != 0:
             out.append(Term(c, pp, pq, expos[idx]))
     return Symbol(tuple(out))

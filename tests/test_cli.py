@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import starkit as sk
-from starkit import numerics, oscillator
+from starkit import numerics, oscillator, verify
 from starkit import symbols as sym
 from starkit.cli import main
 from starkit.errors import CFLWarning
@@ -157,6 +157,38 @@ def test_verify_equivalence_suite(capsys):
     code, out, _ = run(capsys, "verify", "equivalence")
     assert code == 0
     assert out.count("[PASS]") == 3
+
+
+def test_verify_json_rows(capsys):
+    code, out, _ = run(capsys, "verify", "equivalence", "--json")
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert len(rows) == 3
+    keys = {"suite", "name", "value", "threshold", "relation", "passed",
+            "seconds"}
+    for row in rows:
+        assert set(row) == keys and row["suite"] == "equivalence"
+        assert row["passed"] is True and row["relation"] == "<="
+        assert 0 <= row["value"] <= row["threshold"] == 1e-10
+        assert row["name"].startswith("c-equivalence")
+    # the suite's wall time, the same on each of its rows
+    assert rows[0]["seconds"] > 0 and len({r["seconds"] for r in rows}) == 1
+    # rows whose values are numpy scalars print as JSON too
+    code, out, _ = run(capsys, "verify", "spectral", "--json")
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert code == 0 and rows and all(r["passed"] is True for r in rows)
+
+
+def test_verify_json_keeps_the_exit_code(capsys, monkeypatch):
+    failing = verify.CheckResult("always fails", 2.0, 1.0)
+    monkeypatch.setitem(verify.SUITES, "bracket",
+                        ("a failing suite", lambda: [failing]))
+    code, out, _ = run(capsys, "verify", "bracket", "--json")
+    assert code == 1
+    row = json.loads(out)
+    assert row["passed"] is False and row["value"] == 2.0
+    code, out, _ = run(capsys, "verify", "bracket")
+    assert code == 1 and "verification FAILED" in out
 
 
 def test_verify_reality_suite(capsys):
@@ -474,6 +506,12 @@ EXIT_CASES = {
     "non-finite m": (2, "--m", lambda tmp, mp: ["star", "q", "p", "--m", "nan"]),
     "eigen negative gamma": (2, "gamma", lambda tmp, mp: [
         "eigen", "0", "--gamma", "-0.5"]),
+    "eigen tol NaN": (2, "--tol", lambda tmp, mp: ["eigen", "1", "--tol",
+                                                   "nan"]),
+    "eigen tol Infinity": (2, "--tol", lambda tmp, mp: ["eigen", "1", "--tol",
+                                                        "inf"]),
+    "eigen tol negative": (2, "--tol must be positive", lambda tmp, mp: [
+        "eigen", "1", "--tol", "-1"]),
     "ansatz state syntax": (2, "position", lambda tmp, mp: _scenario_argv(
         tmp, {"evolution": "damped_ansatz",
               "entries": [{"amplitude": [1, 0], "energy": [0.5, 0.05],

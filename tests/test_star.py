@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import starkit as sk
 from starkit import symbols as sym
 from starkit.errors import (BranchAmbiguityError, NonFiniteError,
                             NonTerminatingError, SingularGaussianError)
-from starkit.star import _series_orders
+from starkit import star as star_module
+from starkit.star import _series_orders, _series_star
 
 from conftest import random_polynomial, random_symbol
 
@@ -182,6 +184,82 @@ def test_series_orders_match_multi_index_formula():
             assert got.keys() == want.keys()
             for key, (total, size) in want.items():
                 assert abs(got[key] - total) <= 1e-14 * size, (n, key)
+
+
+def _polynomial_pairs(seed, n):
+    """n seeded pairs of nonzero polynomials: constants, single monomials
+    and sums of up to 11 monomials of total degree 0-8, real or complex."""
+    rng = np.random.default_rng(seed)
+
+    def coeff():
+        return complex(rng.normal(), rng.normal() if rng.random() < 0.7 else 0)
+
+    def draw():
+        kind = rng.integers(0, 4)
+        if kind == 0:
+            return sym.const(coeff())
+        if kind == 1:
+            return sym.monomial(coeff(), int(rng.integers(0, 6)),
+                                int(rng.integers(0, 6)))
+        deg, out = int(rng.integers(0, 9)), {}
+        for _ in range(int(rng.integers(1, 12))):
+            pp = int(rng.integers(0, deg + 1))
+            out[pp, int(rng.integers(0, deg + 1 - pp))] = coeff()
+        return sym.poly_symbol(out)
+    return [(draw(), draw()) for _ in range(n)]
+
+
+POLY_STARS = [sk.moyal_star(sym.Params(hbar=0.7)),
+              sk.damped_star(0.3, sym.Params(hbar=0.7, m=1.3)),
+              sk.standard_star(sym.Params(hbar=0.7)),
+              sk.husimi_star(0.8, sym.Params(hbar=0.7))]
+
+
+@pytest.mark.parametrize("star", POLY_STARS, ids=lambda s: s.name)
+def test_polynomial_kernel_matches_the_series(star):
+    B = star.matrix()
+    for f, g in _polynomial_pairs(2501, 200):
+        got = sk.star_product(f, g, star)
+        want = _series_star(f, g, B, min(f.degree(), g.degree()))
+        # canonical: order, pruning and signed zeros as normalize makes them
+        # (repr shows the sign of a zero part, which == does not compare)
+        assert repr(sym.normalize(list(got.terms))) == repr(got)
+        a = {(t.pow_p, t.pow_q): t.coeff for t in want.terms}
+        b = {(t.pow_p, t.pow_q): t.coeff for t in got.terms}
+        top = max(abs(c) for c in a.values())
+        for key in a.keys() | b.keys():
+            miss = abs(a.get(key, 0) - b.get(key, 0))
+            assert miss <= 1e-14 * top, (key, miss / top)
+            # a term only one side keeps is cancellation residue
+            if key not in a.keys() & b.keys():
+                assert abs(a.get(key, b.get(key))) <= 1e-14 * top
+
+
+def test_polynomial_kernel_overflow_raises_typed():
+    f = sym.poly_symbol({(1, 0): 1e200, (0, 0): 1.0})
+    g = sym.poly_symbol({(0, 1): 1e200, (0, 0): 1.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError):
+            sk.star_product(f, g, sk.moyal_star())
+
+
+def test_series_path_only_with_one_polynomial_side(monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return series(*args)
+
+    series = star_module._series_star
+    monkeypatch.setattr(star_module, "_series_star", spy)
+    H = sk.hamiltonian()
+    gauss = sym.gaussian(1.0, app=-0.5, aqq=-0.4)
+    sk.star_product(H, sym.monomial(2.0, 3, 1), sk.damped_star(0.1))
+    assert calls == []
+    sk.star_product(H, gauss, sk.damped_star(0.1))
+    sk.star_product(gauss, sym.variable("q"), sk.moyal_star())
+    assert len(calls) == 2
 
 
 def test_associativity_all_products(rng):

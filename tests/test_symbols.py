@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,32 @@ def test_normalize_coefficient_addition():
     assert len(out.terms) == 1
     assert out.terms[0].coeff == 5.0
     assert (out.terms[0].pow_p, out.terms[0].pow_q) == (1, 0)
+
+
+def test_normalize_sums_are_correctly_rounded():
+    # 1 + 1e-17 - 1 is exactly 1e-17, in any order of arrival
+    for order in itertools.permutations([1.0, 1e-17, -1.0]):
+        out = sym.normalize([sym.Term(c, 0, 2) for c in order])
+        assert [t.coeff for t in out.terms] == [1e-17]
+    assert parse("1 - 1 + 1e-17") == sym.const(1e-17)
+    assert parse("1e-17 + 1 - 1") == sym.const(1e-17)
+    # each part is summed on its own, and a lone zero part stays +0.0
+    out = sym.normalize([sym.Term(1e-17 - 2j, 0, 0), sym.Term(1 + 1j, 0, 0),
+                         sym.Term(-1 + 1j, 0, 0), sym.Term(complex(-0.0, -0.0),
+                                                           1, 0)])
+    assert repr(out) == repr(sym.Symbol((sym.Term(1e-17 + 0j, 0, 0),)))
+
+
+def test_normalize_is_independent_of_arrival_order():
+    rng = np.random.default_rng(2502)
+    raw = [t for _ in range(3) for t in sk.sho_wigner_eigenstate(12).terms]
+    raw += [sym.Term(c * rng.normal(), t.pow_p, t.pow_q, t.expo)
+            for _ in range(4) for t in random_symbol(rng, n_terms=6).terms
+            for c in (1.0, 1e-9, -1.0)]
+    want = repr(sym.normalize(raw))
+    for _ in range(50):
+        rng.shuffle(raw)
+        assert repr(sym.normalize(raw)) == want
 
 
 def test_normalize_merges_nearby_exponents():
