@@ -8,6 +8,7 @@ and smoothing integrals, and deterministic CSV/JSON grid export.
 """
 
 import json
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -26,6 +27,20 @@ WIDE_SPEC = GridSpec(-6.0, 6.0, -6.0, 6.0, 201, 201)
 # star_series_oracle warns when its estimated tail past order N exceeds this
 # on the grid.
 _SERIES_TAIL_TOL = 1e-8
+
+# load_grid bounds a JSON grid's "values" array without parsing it: the
+# top-level key (scanned over string tokens and brackets), the end of an
+# empty array or of its last pair, and a pair end before a comma (a chunk
+# boundary).  Strings, objects, booleans, null, NaN and Infinity start with
+# one of _NOT_NUMBERS, which no array of number pairs holds.
+_JSON_SPACE = (" ", "\t", "\n", "\r")
+_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|[\[\]{}]')
+_ARRAY_VALUE = re.compile(r"[ \t\n\r]*:[ \t\n\r]*\[")
+_EMPTY_ARRAY = re.compile(r"\[[ \t\n\r]*\]")
+_LAST_PAIR_END = re.compile(r"\][ \t\n\r]*\]")
+_PAIR_END = re.compile(r"\][ \t\n\r]*,")
+_NOT_NUMBERS = '"{tfnNI'
+_JSON_CHUNK = 1 << 16  # characters of pairs per json.loads
 
 
 @dataclass(frozen=True)
@@ -339,45 +354,133 @@ def export_grid(grid, fmt, destination):
         raise OSError(f"cannot write {destination}: {exc}") from exc
 
 
-def load_grid(path):
-    """Read back a grid written by export_grid (format sniffed from content).
+def _values_span(text):
+    """(start, stop) of the text of the top-level "values" array of the
+    JSON text, brackets included, or None if there is none (the array is
+    located, not parsed: it ends at its first "]]" or is empty)."""
+    depth = 0
+    for tok in _JSON_TOKEN.finditer(text):
+        s = tok.group()
+        if s in ("{", "["):
+            depth += 1
+        elif s in ("}", "]"):
+            depth -= 1
+        elif depth == 1 and s == '"values"':
+            key = _ARRAY_VALUE.match(text, tok.end())
+            if key:
+                end = (_EMPTY_ARRAY.match(text, key.end() - 1)
+                       or _LAST_PAIR_END.search(text, key.end()))
+                return (key.end() - 1, end.end()) if end else None
+    return None
 
-    A CSV body is parsed from the open file by np.loadtxt: every line after
-    the header must hold the 4 float fields q,p,re,im ('#' starts no
-    comment), and an empty body is an error.  The (re, im) columns are
-    viewed as complex, so signed zeros come back as written.
-    """
-    with open(path, encoding="ascii") as fh:
-        is_json = fh.read(1) == "{"
-        fh.seek(0)
-        if is_json:
-            doc = json.load(fh)
-        else:
-            fh.readline()  # the header
-            bad = f"{path}: expected rows of the 4 fields q,p,re,im"
-            try:
-                with warnings.catch_warnings():  # an empty body fails below
-                    warnings.simplefilter("ignore", UserWarning)
-                    fields = np.loadtxt(fh, dtype=np.float64, delimiter=",",
-                                        comments=None, ndmin=2)
-            except ValueError as exc:
-                raise ValueError(bad) from exc
-            if not fields.size or fields.shape[1] != 4:
-                raise ValueError(bad)
-    if is_json:
-        spec = GridSpec(**doc["spec"])
-        pairs = np.array(doc["values"], dtype=np.float64)
-        if pairs.shape != (spec.nq * spec.np, 2):
-            raise ValueError(f"{path}: {len(pairs)} values do not fill the "
-                             f"{spec.nq}x{spec.np} lattice")
-    else:
-        qs, ps = np.unique(fields[:, 0]), np.unique(fields[:, 1])
-        if not (np.array_equal(fields[:, 0], np.repeat(qs, len(ps)))
-                and np.array_equal(fields[:, 1], np.tile(ps, len(qs)))):
-            raise ValueError(f"{path}: rows do not fill the "
-                             f"{len(qs)}x{len(ps)} lattice in q-major order")
+
+def _pair_chunks(text, start, stop):
+    """JSON arrays of consecutive runs of the pairs of the array
+    text[start:stop], each cut after the first pair that ends at least
+    _JSON_CHUNK characters on; none for an empty array."""
+    if _EMPTY_ARRAY.match(text, start):
+        return
+    i = start  # the array's "[", then the comma before the next run
+    while cut := _PAIR_END.search(text, i + _JSON_CHUNK, stop):
+        yield "[" + text[i + 1:cut.start() + 1] + "]"
+        i = cut.end() - 1
+    yield "[" + text[i + 1:stop]
+
+
+def _json_grid(text, path):
+    """(spec, (nq*np, 2) float64 (re, im) pairs) of a JSON grid text."""
+    bad = f"{path}: values must be an array of [re, im] number pairs"
+    span = _values_span(text)
+    if span is None or any(text.find(c, *span) >= 0 for c in _NOT_NUMBERS):
+        raise ValueError(bad)
+    start, stop = span
+    try:
+        doc = json.loads(text[:start] + "null" + text[stop:])
+    except json.JSONDecodeError as exc:
+        at = exc.pos if exc.pos < start else exc.pos - 4 + stop - start
+        raise ValueError(f"{path}: not a JSON grid: {exc.msg} at character "
+                         f"{at}") from exc
+    try:
+        spec = GridSpec(**doc.get("spec", {}))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad grid spec: {exc}") from exc
+    n = spec.nq * spec.np
+    # n pairs take at least 6n + 1 characters: a short array allocates none
+    pairs = np.empty((n if 6 * n + 1 <= stop - start else 0, 2),
+                     dtype=np.float64)
+    count = 0
+    for chunk in _pair_chunks(text, start, stop):
+        try:
+            block = np.array(json.loads(chunk), dtype=np.float64)
+        except (ValueError, OverflowError) as exc:  # ragged, or > 1.8e308
+            raise ValueError(bad) from exc
+        if block.ndim != 2 or block.shape[1] != 2:
+            raise ValueError(bad)
+        if count + len(block) <= len(pairs):
+            pairs[count:count + len(block)] = block
+        count += len(block)
+    if count != n:
+        raise ValueError(f"{path}: {count} values do not fill the "
+                         f"{spec.nq}x{spec.np} lattice")
+    return spec, pairs
+
+
+def _csv_grid(fh, path):
+    """(spec, (nq*np, 2) float64 (re, im) pairs) of a CSV grid file."""
+    fh.readline()  # the header
+    bad = f"{path}: expected rows of the 4 fields q,p,re,im"
+    try:
+        with warnings.catch_warnings():  # an empty body fails below
+            warnings.simplefilter("ignore", UserWarning)
+            fields = np.loadtxt(fh, dtype=np.float64, delimiter=",",
+                                comments=None, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(bad) from exc
+    if not fields.size or fields.shape[1] != 4:
+        raise ValueError(bad)
+    qs, ps = np.unique(fields[:, 0]), np.unique(fields[:, 1])
+    if not (np.array_equal(fields[:, 0], np.repeat(qs, len(ps)))
+            and np.array_equal(fields[:, 1], np.tile(ps, len(qs)))):
+        raise ValueError(f"{path}: rows do not fill the "
+                         f"{len(qs)}x{len(ps)} lattice in q-major order")
+    try:
         spec = GridSpec(float(qs[0]), float(qs[-1]), float(ps[0]),
                         float(ps[-1]), len(qs), len(ps))
-        pairs = np.ascontiguousarray(fields[:, 2:])
-    return PhaseGrid(spec, pairs.view(np.complex128).reshape(spec.nq,
-                                                             spec.np))
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad grid spec: {exc}") from exc
+    return spec, np.ascontiguousarray(fields[:, 2:])
+
+
+def load_grid(path):
+    """Read back a grid written by export_grid.
+
+    The first non-whitespace character sniffs the format: "{" starts a
+    JSON grid, anything else a CSV one.  A CSV body is parsed from the
+    open file by np.loadtxt: every line after the header must hold the 4
+    float fields q,p,re,im ('#' starts no comment), and an empty body is
+    an error.  A JSON grid is an object with a "spec" object of GridSpec's
+    fields and a "values" array of nq*np [re, im] pairs of JSON numbers
+    (no strings, booleans, nulls or NaN), in any key order, with any JSON
+    whitespace and other keys.  That array never becomes one Python list:
+    the document is parsed with the array replaced by null, and the array
+    in pair-aligned chunks of about _JSON_CHUNK characters, each through
+    json.loads and np.array into one preallocated array, so every number
+    has json's bits.  A malformed grid in either format raises a
+    ValueError that names the file.  The (re, im) pairs are viewed as
+    complex, so signed zeros come back as written.
+    """
+    try:
+        with open(path, encoding="ascii") as fh:
+            first = fh.read(1)
+            while first in _JSON_SPACE:
+                first = fh.read(1)
+            fh.seek(0)
+            spec, pairs = (_json_grid(fh.read(), path) if first == "{"
+                           else _csv_grid(fh, path))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not an ASCII grid file: {exc}") from exc
+    try:
+        return PhaseGrid(spec, pairs.view(np.complex128).reshape(spec.nq,
+                                                                 spec.np))
+    except ValueError as exc:  # a non-finite value
+        raise ValueError(f"{path}: {exc}") from exc

@@ -455,6 +455,9 @@ def test_load_grid_csv_names_the_file_on_a_bad_lattice(tmp_path):
         path.write_text("\n".join(bad) + "\n")
         with pytest.raises(ValueError, match="bad.csv: expected rows of"):
             numerics.load_grid(path)
+    path.write_text("\n".join(lines[:2]) + "\n")  # a 1x1 lattice
+    with pytest.raises(ValueError, match="bad.csv: bad grid spec"):
+        numerics.load_grid(path)
 
 
 _ROWS = ["0,0,1,0", "0,2,1,0", "1,0,1,0", "1,2,1,0"]  # a 2x2 lattice
@@ -488,6 +491,164 @@ def test_load_grid_json_names_the_file_on_a_bad_lattice(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="bad.json: 13 values do not fill"):
         numerics.load_grid(path)
+
+
+def _uint64(values):
+    return np.ascontiguousarray(values, dtype=np.complex128).view(np.uint64)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_load_grid_round_trips_edge_floats_bit_for_bit(tmp_path, fmt):
+    edge = np.array([0.0, -0.0, 5e-324, 1.7976931348623157e308,
+                     -1.7976931348623157e308, 0.1, 1 / 3])
+    values = np.empty((7, 7), dtype=np.complex128)
+    values.real[:], values.imag[:] = edge[:, None], edge[None, :]
+    grid = numerics.PhaseGrid(sym.GridSpec(-1.0, 1.0, -2.0, 2.0, 7, 7),
+                              values)
+    path = tmp_path / f"grid.{fmt}"
+    numerics.export_grid(grid, fmt, path)
+    back = numerics.load_grid(path)
+    assert back.spec == grid.spec
+    assert np.array_equal(_uint64(back.values), _uint64(values))
+
+
+def test_load_grid_json_matches_json_load_on_201_grids(tmp_path):
+    path = tmp_path / "grid.json"
+    for f in (sk.sho_wigner_eigenstate(12),
+              dynamics.evolve_classical(sk.sho_offdiagonal(4, 8), 0.7,
+                                        sym.Params(gamma=0.2))):
+        numerics.export_grid(numerics.sample(f, numerics.WIDE_SPEC), "json",
+                             path)
+        with open(path, encoding="ascii") as fh:  # the reference: one list
+            want = np.array(json.load(fh)["values"], dtype=np.float64)
+        back = numerics.load_grid(path)
+        assert back.spec == numerics.WIDE_SPEC
+        assert np.array_equal(_uint64(back.values).reshape(-1, 2),
+                              want.view(np.uint64))
+
+
+def _json_grid_doc():
+    spec = sym.GridSpec(-1.0, 1.0, -2.0, 2.0, 5, 4)
+    values = np.random.default_rng(7).normal(size=(5, 4, 2))
+    values[0, 0] = [-0.0, 5e-324]
+    grid = numerics.PhaseGrid(spec, values.view(np.complex128)[..., 0])
+    doc = {"spec": {"q_min": -1.0, "q_max": 1.0, "p_min": -2.0,
+                    "p_max": 2.0, "nq": 5, "np": 4},
+           "values": values.reshape(-1, 2).tolist()}
+    return grid, doc
+
+
+# JSON texts of one grid that load_grid reads as the same grid.
+_JSON_LAYOUTS = {
+    "compact": lambda doc: json.dumps(doc, separators=(",", ":")),
+    "indent=2": lambda doc: json.dumps(doc, indent=2),
+    "values before spec": lambda doc: json.dumps(
+        {"values": doc["values"], "spec": doc["spec"]}),
+    "extra top-level keys": lambda doc: json.dumps(
+        {"note": "values", "meta": {"values": [[9, 9]], "x": "]]"},
+         **doc, "after": [["values"]]}),
+    "leading whitespace": lambda doc: " \n\t\r" + json.dumps(doc),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 30, 1 << 16])
+@pytest.mark.parametrize("layout", _JSON_LAYOUTS.values(), ids=_JSON_LAYOUTS)
+def test_load_grid_json_layouts_load_the_same_grid(tmp_path, monkeypatch,
+                                                   layout, chunk):
+    grid, doc = _json_grid_doc()
+    path = tmp_path / "grid.json"
+    path.write_text(layout(doc))
+    monkeypatch.setattr(numerics, "_JSON_CHUNK", chunk)
+    back = numerics.load_grid(path)
+    assert back.spec == grid.spec
+    assert np.array_equal(_uint64(back.values), _uint64(grid.values))
+
+
+_DROP = object()
+
+
+def _edited(entries=(), fields=(), **keys):
+    """The compact JSON text of _json_grid_doc with values entries replaced
+    ({index: entry}), spec fields updated and top-level keys set (_DROP:
+    removed)."""
+    _, doc = _json_grid_doc()
+    for k, entry in dict(entries).items():
+        doc["values"][k] = entry
+    doc["spec"].update(fields)
+    for key, value in keys.items():
+        if value is _DROP:
+            del doc[key]
+        else:
+            doc[key] = value
+    return json.dumps(doc, separators=(",", ":"))
+
+
+_GOOD_JSON = _edited()
+# Malformed JSON grids: each raises a ValueError that names the file.
+_BAD_JSON = {
+    "3-element pair": _edited({5: [1.0, 0.0, 2.0]}),
+    "nested pair": _edited({5: [[1.0, 0.0]]}),
+    "nested entry": _edited({5: [1.0, [0.0]]}),
+    "trailing comma": _GOOD_JSON[:-2] + ",]}",
+    "truncated in values": _GOOD_JSON[:len(_GOOD_JSON) // 2],
+    "truncated after values": _GOOD_JSON[:-1],
+    "not JSON after the values": _GOOD_JSON[:-1] + ',"x"}',
+    "missing values": _edited(values=_DROP),
+    "missing spec": _edited(spec=_DROP),
+    "spec not an object": _edited(spec=[1, 2]),
+    "unknown spec key": _edited(fields={"dq": 0.5}),
+    "non-integer node count": _edited(fields={"nq": 5.0}),
+    "values null": _edited(values=None),
+    "values object": _edited(values={}),
+    "flat values": _edited(values=[0.0] * 40),
+    "string entry": _edited({5: ["1", 0]}),
+    "boolean entry": _edited({5: [True, 0]}),
+    "null entry": _edited({5: [None, 0]}),
+    "NaN entry": _edited({5: [math.nan, 0]}),
+    "Infinity entry": _edited({5: [0, -math.inf]}),
+    "overflowing number": _edited({5: [math.inf, 0]}).replace("Infinity",
+                                                              "1e999"),
+    "overflowing integer": _edited({5: [10**400, 0]}),
+}
+
+
+@pytest.mark.parametrize("text", _BAD_JSON.values(), ids=_BAD_JSON)
+def test_load_grid_json_names_the_file_on_malformed_grids(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="bad.json: "):
+        numerics.load_grid(path)
+
+
+def test_load_grid_json_counts_every_pair(tmp_path):
+    path = tmp_path / "bad.json"
+    for values, n in (([], 0), ([[0.5, 0.0]] * 19, 19),
+                      ([[0.5, 0.0]] * 21, 21), ([[0.5, 0.0]] * 1000, 1000)):
+        path.write_text(_edited(values=values))
+        with pytest.raises(ValueError, match=f"bad.json: {n} values do not "
+                                             "fill the 5x4 lattice"):
+            numerics.load_grid(path)
+    # a lattice the text cannot fill is not allocated
+    path.write_text(_edited(fields={"nq": 10**6, "np": 10**6}))
+    with pytest.raises(ValueError, match="bad.json: 20 values do not fill "
+                                         "the 1000000x1000000 lattice"):
+        numerics.load_grid(path)
+
+
+def test_load_grid_names_the_file_on_non_ascii_text(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(_GOOD_JSON.replace('{"spec"', '{"note":"é","spec"')
+                     .encode("utf-8"))
+    with pytest.raises(ValueError, match="bad.json: not an ASCII grid"):
+        numerics.load_grid(path)
+
+
+def test_load_grid_json_memory_is_output_plus_a_chunk(tmp_path):
+    path = tmp_path / "grid.json"
+    numerics.export_grid(numerics.sample(sk.sho_wigner_eigenstate(12),
+                                         numerics.WIDE_SPEC), "json", path)
+    _, peak = _peak_above(lambda: numerics.load_grid(path))
+    assert peak <= 3.0  # the text is 1.1 MB, the output 0.65 MB
 
 
 def _grouped_symbol():
