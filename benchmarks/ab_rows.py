@@ -7,8 +7,9 @@ Run from the repository root as
 
 CASES is `series` (the series-path rows of `series_cases`), `algebra`
 (normalize and parse, `algebra_cases`), `grid_eval` (sample and
-evaluate_grid, `grid_eval_cases`) or `grid_io` (the export and load rows
-of `grid_io_cases`).  It extracts src/starkit of the git revision
+evaluate_grid, `grid_eval_cases`), `grid_io` (the export and load rows
+of `grid_io_cases`) or `cold` (cold state builds, `cold_cases`).  It
+extracts src/starkit of the git revision
 REV into a temporary directory, imports it as the package
 `starkit_parent` next to the working tree's `starkit`, and builds the
 rows once from each.  Every round (21 by default) times every row on both
@@ -34,13 +35,14 @@ import warnings
 from pathlib import Path
 
 import starkit
-from bench_kernels import (algebra_cases, grid_eval_cases, grid_io_cases,
-                           series_cases)
+from bench_kernels import (algebra_cases, cold_cases, grid_eval_cases,
+                           grid_io_cases, series_cases)
 
 CASES = {"series": lambda pkg, directory: series_cases(pkg),
          "algebra": lambda pkg, directory: algebra_cases(pkg),
          "grid_eval": lambda pkg, directory: grid_eval_cases(pkg),
-         "grid_io": grid_io_cases}
+         "grid_io": grid_io_cases,
+         "cold": lambda pkg, directory: cold_cases(pkg)}
 
 CALLS = 7
 

@@ -44,6 +44,10 @@
   meshes (the 9x9 checks of `approx_equal` and `residual`); the growth of
   peak RSS over one `sample` of n = 24 and over 20 damped `rk4_evolve`
   steps of a real Gaussian, both at 401x401 in a fresh interpreter.
+- Cold builds (`cold_cases`, also timed against another revision by
+  `ab_rows.py`), both `oscillator` caches cleared before each call: the
+  Wigner states n = 12 and n = 24 and the off-diagonal states rho_{6,6}
+  and rho_{12,0}.
 - `starkit evolve` in-process on the README scenario (gamma = 0.1, times
   0, 1, 2, 201x201, CSV export at t = 2) with `classical` and with
   `naive` evolution.
@@ -409,6 +413,33 @@ def bench_grid_io():
                   f"{np.array_equal(back.values, grid.values)}")
 
 
+def cold_cases(pkg):
+    """(label, call) rows of Wigner and off-diagonal states built with both
+    oscillator caches cleared first, from the package pkg (as
+    series_cases)."""
+    osc = importlib.import_module(pkg.__name__ + ".oscillator")
+
+    def cold(build, *args):
+        def call():
+            osc.sho_wigner_eigenstate.cache_clear()
+            osc.sho_offdiagonal.cache_clear()
+            return build(*args)
+        return call
+    return [(f"{label}: cold build", cold(build, *args))
+            for label, build, args in (
+                ("Wigner n=12", osc.sho_wigner_eigenstate, (12,)),
+                ("Wigner n=24", osc.sho_wigner_eigenstate, (24,)),
+                ("rho_{6,6}", osc.sho_offdiagonal, (6, 6)),
+                ("rho_{12,0}", osc.sho_offdiagonal, (12, 0)))]
+
+
+def bench_cold():
+    print("cold state builds (caches cleared before each call)")
+    for label, call in cold_cases(sk):
+        med, best, _ = timeit(call, 7)
+        report(label, med, best)
+
+
 def bench_readme_scenario():
     print("starkit evolve, README scenario (in-process)")
     with tempfile.TemporaryDirectory() as tmp:
@@ -440,7 +471,7 @@ BENCHES = {"eval": bench_eval, "rk4": bench_rk4, "rk4_ops": bench_rk4_ops,
            "maps": bench_maps, "products": bench_products,
            "series": bench_series, "algebra": bench_algebra,
            "grid_eval": bench_grid_eval, "grid_io": bench_grid_io,
-           "readme": bench_readme_scenario}
+           "cold": bench_cold, "readme": bench_readme_scenario}
 
 
 if __name__ == "__main__":

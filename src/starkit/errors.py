@@ -30,7 +30,7 @@ class SingularTimeError(StarkitError):
 
 
 class DegreeGuardError(StarkitError):
-    """Ladder construction requested past the exact-arithmetic degree guard."""
+    """sho_offdiagonal asked for n + n' past LADDER_DEGREE_GUARD."""
 
 
 class PositivityError(StarkitError):

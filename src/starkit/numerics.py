@@ -172,7 +172,8 @@ def _advection(spec, params, kind, planes, h):
     as u's (rows are never written, columns are copied back).  Rows run in
     strips of symbols.strip_height rows; the one-sided edge rows
     and columns are formed once per stage on the whole plane, so the
-    result does not depend on the strip height.
+    result does not depend on the strip height.  The p-velocity weights
+    c_p are one plane, scaled by h/k a strip at a time.
     """
     nq, n_p = spec.nq, spec.np
     dq, dp = _steps(spec)
@@ -181,10 +182,11 @@ def _advection(spec, params, kind, planes, h):
     cp = np.broadcast_to(-vp / (12.0 * dp), (nq, n_p)).ravel()
     cx = (params.gamma * params.hbar / (144.0 * dq * dp)
           * np.array([[1.0], [-1.0]]) if kind == "naive" else None)
-    scaled = {k: (h / k * cq, h / k * cp, None if cx is None else h / k * cx)
+    scaled = {k: (h / k, h / k * cq, None if cx is None else h / k * cx)
               for k in (1, 2, 3, 4)}
     rows = sym.strip_height(nq - 2, planes * n_p)
     tmp = np.zeros((planes, rows * n_p))
+    cps = np.empty(rows * n_p)  # (h/k) c_p on one strip
     ep, ex = np.zeros((planes, nq, 2)), np.zeros((planes, nq, 2))
     edge = np.array([-3.0, -10.0, 18.0, -6.0, 1.0])  # one-sided, at x[1]
     redge = -edge  # the same at x[-2], over x[-1], x[-2], ...
@@ -201,7 +203,7 @@ def _advection(spec, params, kind, planes, h):
         out -= x[:, lo + 2 * s:hi + 2 * s]
 
     def stage(u, v, out, k):
-        c_q, c_p, c_x = scaled[k]
+        hk, c_q, c_x = scaled[k]
         u3, v3, out3 = (a.reshape(planes, nq, n_p) for a in (u, v, out))
         ends(v3, 1, out3[:, 1], out3[:, -2])
         ends(v3, 2, ep[:, :, 0], ep[:, :, 1])  # (planes, nq, 2)
@@ -228,7 +230,7 @@ def _advection(spec, params, kind, planes, h):
                 o3 *= c_q
             fd4(v, t, 1, lo, hi)
             t3[:, :, 1::n_p - 3] = ep[:, r0:r1]
-            t *= c_p[lo:hi]
+            t *= np.multiply(hk, cp[lo:hi], out=cps[:hi - lo])
             o += t
             o += u[:, lo:hi]
             o3[:, :, ::n_p - 1] = u3[:, r0:r1, ::n_p - 1]  # columns 0, np-1
@@ -448,6 +450,12 @@ def _csv_grid(fh, path):
                         float(ps[-1]), len(qs), len(ps))
     except ValueError as exc:
         raise ValueError(f"{path}: bad grid spec: {exc}") from exc
+    # within 1e-9 of a step of the linspace: exact for every %.17g export,
+    # and decimal axes such as q = 0, 0.1, ..., 1 differ only by rounding
+    dq, dp = _steps(spec)
+    if not (np.allclose(qs, spec.q_values(), rtol=0.0, atol=1e-9 * dq)
+            and np.allclose(ps, spec.p_values(), rtol=0.0, atol=1e-9 * dp)):
+        raise ValueError(f"{path}: q and p axes are not evenly spaced")
     return spec, np.ascontiguousarray(fields[:, 2:])
 
 

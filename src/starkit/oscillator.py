@@ -1,5 +1,5 @@
 """Closed-form oscillator objects: Hamiltonian, Wigner eigenfunctions,
-ladder-built off-diagonal elements, propagators, damped eigenfunctions.
+off-diagonal (ladder) elements, propagators, damped eigenfunctions.
 
 Natural-unit conventions follow Params (defaults m = omega = hbar = 1).
 Energies are E_n = hbar*omega*(n + 1/2); the damped eigenvalues pick up a
@@ -16,13 +16,24 @@ import numpy as np
 from . import symbols as sym
 from . import transition
 from .errors import BranchAmbiguityError, DegreeGuardError, SingularTimeError
-from .star import moyal_star, star_product
 from .symbols import Params
 
-# Exact ladder construction beyond this total index loses double precision.
+# sho_offdiagonal multiplies no ladders.  The guard stays for cancellation:
+# the expanded monomial coefficients of higher states lose their values on
+# evaluation.
 LADDER_DEGREE_GUARD = 12
 
 TIME_SINGULARITY_TOL = 1e-8
+
+
+def __getattr__(name):
+    """starkit.oscillator.star_product and .moyal_star, once re-exports of
+    starkit.star, stay public names; this module no longer imports them,
+    so they resolve to star's current bindings on first use."""
+    if name in ("moyal_star", "star_product"):
+        from . import star
+        return getattr(star, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def hamiltonian(params=Params()):
@@ -41,18 +52,32 @@ def damped_energy(n, params=Params()):
     return 0.5 * h * ((2 * n + 1) * w + 1j * g)
 
 
-def _laguerre_symbols(n_max, x):
-    """L_0 .. L_{n_max} of the symbol x via the three-term recurrence
-    (n+1) L_{n+1} = (2n+1-x) L_n - n L_{n-1}; stable for the range used."""
-    out = [sym.ONE]
-    if n_max >= 1:
-        out.append(sym.combine(sym.ONE, 1.0, x, -1.0))
-    for n in range(1, n_max):
-        a = sym.combine(sym.scale(out[n], 2 * n + 1.0), 1.0,
-                        sym.pointwise_multiply(x, out[n]), -1.0)
-        nxt = sym.combine(a, 1.0 / (n + 1), out[n - 1], -n / (n + 1.0))
-        out.append(nxt)
-    return out
+def _laguerre_state(n, k, scale, params):
+    """(C, expo): scale * L_n^(k)(x) as the real array C[pow_q, pow_p], and
+    the exponent of exp(-x/2), for x = 4H/(hbar omega).
+
+    The coefficients of q^(2i) p^(2j) run (j+1) L_{j+1} = (2j+1+k - x) L_j
+    - (j+k) L_{j-1} from L_{-1} = 0, L_0 = 1, in the float operations of
+    that recurrence on symbols: normalize rounds the sum of x L_j's two
+    products once, and so each sum of two scaled terms.  At k = 0 the
+    coefficients are that route's bit for bit.
+    """
+    h, m, w = params.hbar, params.m, params.omega
+    x = sym.scale(hamiltonian(params), 4.0 / (h * w))
+    xc = {(t.pow_q, t.pow_p): t.coeff.real for t in x.terms}
+    prev, cur, xl = np.zeros((3, n + 1, n + 1))
+    cur[0, 0] = 1.0
+    for j in range(n):
+        xl[0] = 0.0
+        xl[1:] = xc[2, 0] * cur[:-1]
+        xl[:, 1:] += xc[0, 2] * cur[:, :-1]
+        nxt = ((2 * j + 1.0 + k) * cur - xl) * (1.0 / (j + 1))
+        nxt += prev * (-(j + k) / (j + 1.0))
+        prev, cur = cur, nxt
+    C = np.zeros((2 * n + 1, 2 * n + 1))
+    C[::2, ::2] = cur * scale
+    envelope = sym.gaussian(1.0, app=-1.0 / (m * h * w), aqq=-m * w / h)
+    return C, envelope.terms[0].expo
 
 
 # Bounded, as both caches are keyed by float Params (no caller reuses 30).
@@ -61,12 +86,7 @@ def sho_wigner_eigenstate(n, params=Params()):
     """Stationary Wigner function 2 (-1)^n L_n(4H/hw) exp(-2H/hw)."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    h, m, w = params.hbar, params.m, params.omega
-    x = sym.scale(hamiltonian(params), 4.0 / (h * w))
-    ln = _laguerre_symbols(n, x)[n]
-    envelope = sym.gaussian(2.0 * (-1.0) ** n,
-                            app=-1.0 / (m * h * w), aqq=-m * w / h)
-    return sym.pointwise_multiply(ln, envelope)
+    return sym.array_symbol(*_laguerre_state(n, 0, 2.0 * (-1.0) ** n, params))
 
 
 def sho_wigner_values(n_max, P, Q, params=Params()):
@@ -112,22 +132,33 @@ def sho_offdiagonal(n, nprime, params=Params()):
     """Off-diagonal element abar^{*n} * rho_0 * a^{*nprime} (moyal ladders).
 
     Satisfies H * rho = E_n rho and rho * H = E_nprime rho; the diagonal
-    case is proportional to sho_wigner_eigenstate(n).  The overall scale is
-    the raw ladder product (leading ladder coefficient 1).
+    case is n! sho_wigner_eigenstate(n).  The overall scale is the raw
+    ladder product (leading ladder coefficient 1).  No ladder is
+    multiplied: for n >= nprime it is the closed form (Curtright, Fairlie
+    and Zachos, Phys. Rev. D 58 (1998) 025002)
+
+        2 (-1)^nprime nprime! (2 abar)^(n - nprime)
+            L_nprime^(n - nprime)(x) exp(-x/2),  x = 4H/(hbar omega),
+
+    and for n < nprime the conjugate of the (nprime, n) element.
     """
     if n < 0 or nprime < 0:
         raise ValueError("indices must be non-negative")
     if n + nprime > LADDER_DEGREE_GUARD:
         raise DegreeGuardError(
             f"n + nprime = {n + nprime} exceeds guard {LADDER_DEGREE_GUARD}")
-    a, abar = ladder_symbols(params)
-    star = moyal_star(params)
-    rho = sho_wigner_eigenstate(0, params)
-    for _ in range(n):
-        rho = star_product(abar, rho, star)
-    for _ in range(nprime):
-        rho = star_product(rho, a, star)
-    return rho
+    if n < nprime:
+        return sym.conjugate(sho_offdiagonal(nprime, n, params))
+    k = n - nprime
+    L, expo = _laguerre_state(
+        nprime, k, 2.0 * (-1.0) ** nprime * math.factorial(nprime), params)
+    abar = {(t.pow_q, t.pow_p): 2.0 * t.coeff
+            for t in ladder_symbols(params)[1].terms}
+    C = np.zeros((len(L) + k,) * 2, dtype=np.complex128)
+    for i in range(k + 1):  # (2 abar)^k, one binomial term at a time
+        c = math.comb(k, i) * abar[1, 0] ** i * abar[0, 1] ** (k - i)
+        C[i:i + len(L), k - i:k - i + len(L)] += c * L
+    return sym.array_symbol(C, expo)
 
 
 def undamped_propagator(t, params=Params()):

@@ -158,9 +158,9 @@ def _polynomial_star(f, g, B):
     the terminating sum over k of B_ij^k / k! times T shifted down by k on
     axes i and 2 + j, weighted by the falling factorials (u + k)! / u! of
     both.  y = z = x then sums T[a, b, c, d] into H[a + c, b + d], and H
-    becomes the Symbol in normalize's canonical order, zeros pruned and no
-    part -0.0.  T has one entry per pair of (pow_q, pow_p) cells of F and
-    G, so two dense operands of degree d take O(d^4) memory.
+    becomes the Symbol through symbols.array_symbol.  T has one entry per
+    pair of (pow_q, pow_p) cells of F and G, so two dense operands of
+    degree d take O(d^4) memory.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         T = np.multiply.outer(_coefficient_array(f), _coefficient_array(g))
@@ -171,20 +171,10 @@ def _polynomial_star(f, g, B):
         width = T.shape[1] + T.shape[3] - 1  # pow_p of H runs to width - 1
         a, b, c, d = np.ix_(*(np.arange(n) for n in T.shape))
         flat = ((a + c) * width + (b + d)).ravel()
-        size = (T.shape[0] + T.shape[2] - 1) * width
-        # + 0.0 makes every zero part +0.0, as normalize's sums do
-        re, im = (np.bincount(flat, part.ravel(), size) + 0.0
-                  for part in (T.real, T.imag))
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise NonFiniteError("non-finite coefficient in a polynomial product")
-    keep = np.flatnonzero((re != 0) | (im != 0))
-    pq, pp = np.divmod(keep, width)
-    # descending total degree, then pow_p (which fixes pow_q); keys unique
-    order = np.argsort(-((pq + pp) * width + pp))
-    keep, pq, pp = keep[order], pq[order].tolist(), pp[order].tolist()
-    return sym.Symbol(tuple(
-        Term(complex(x, y), p, q, sym.ZERO_EXPO) for x, y, p, q in
-        zip(re[keep].tolist(), im[keep].tolist(), pp, pq)))
+        H = np.empty((T.shape[0] + T.shape[2] - 1, width), dtype=np.complex128)
+        H.real, H.imag = (np.bincount(flat, part.ravel(), H.size).reshape(
+            H.shape) for part in (T.real, T.imag))
+    return sym.array_symbol(H)
 
 
 def _exp_factor(T, beta, i, j):

@@ -276,6 +276,26 @@ def poly_symbol(coeff_map):
     return normalize([Term(c, pp, pq) for (pp, pq), c in coeff_map.items()])
 
 
+def array_symbol(C, expo=ZERO_EXPO):
+    """The symbol of the coefficient array C[pow_q, pow_p] times exp(expo),
+    as normalize forms it: zero entries pruned, no part -0.0 (its 0 + c),
+    ordered by descending (total degree, pow_p)."""
+    C = np.asarray(C, dtype=np.complex128)
+    # + 0.0 makes every zero part +0.0, as normalize's sums do
+    re, im = C.real + 0.0, C.imag + 0.0
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise NonFiniteError("non-finite coefficient")
+    width = C.shape[1]
+    keep = np.flatnonzero((re != 0) | (im != 0))
+    pq, pp = np.divmod(keep, width)
+    # descending total degree, then pow_p (which fixes pow_q); keys unique
+    order = np.argsort(-((pq + pp) * width + pp))
+    keep, pq, pp = keep[order], pq[order].tolist(), pp[order].tolist()
+    return Symbol(tuple(
+        Term(complex(x, y), p, q, expo) for x, y, p, q in
+        zip(re.ravel()[keep].tolist(), im.ravel()[keep].tolist(), pp, pq)))
+
+
 def gaussian(coeff, app=0j, aqq=0j, apq=0j, bp=0j, bq=0j):
     """Single pure-Gaussian term coeff * exp(quadratic form)."""
     return _normalized([Term(coeff, 0, 0,

@@ -460,6 +460,26 @@ def test_load_grid_csv_names_the_file_on_a_bad_lattice(tmp_path):
         numerics.load_grid(path)
 
 
+def test_load_grid_csv_rejects_unevenly_spaced_axes(tmp_path):
+    path = tmp_path / "uneven.csv"
+    rows = [f"{q},{p},1,0" for q in ("0", "0.1", "1") for p in ("0", "2")]
+    path.write_text("q,p,re,im\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match="uneven.csv: q and p axes are not "
+                                         "evenly spaced"):
+        numerics.load_grid(path)
+    # the same lattice on q = 0, 0.5, 1 loads
+    path.write_text(path.read_text().replace("0.1,", "0.5,"))
+    back = numerics.load_grid(path)
+    assert back.spec == sym.GridSpec(0.0, 1.0, 0.0, 2.0, 3, 2)
+    # decimal axes load although linspace(0, 1, 11)[3] is 0.30000000000000004
+    qs = [f"{i / 10:g}" for i in range(11)]
+    assert "0.3" in qs and np.linspace(0.0, 1.0, 11)[3] != 0.3
+    path.write_text("q,p,re,im\n" + "".join(
+        f"{q},{p},1,0\n" for q in qs for p in ("0", "2")))
+    back = numerics.load_grid(path)
+    assert back.spec == sym.GridSpec(0.0, 1.0, 0.0, 2.0, 11, 2)
+
+
 _ROWS = ["0,0,1,0", "0,2,1,0", "1,0,1,0", "1,2,1,0"]  # a 2x2 lattice
 # CSV files whose body is not rows of the 4 fields q,p,re,im.
 _BAD_CSV = {

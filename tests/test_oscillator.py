@@ -124,6 +124,67 @@ def test_offdiagonal_eigen_pairs():
                             sym.scale(rho, sk.energy(npr, par))) <= 1e-9
 
 
+def _symbolic_wigner_states(n_max, params):
+    """rho_0 .. rho_{n_max} by the Laguerre recurrence on symbols, the
+    reference for the dense recurrence of sho_wigner_eigenstate:
+    (n+1) L_{n+1} = (2n+1-x) L_n - n L_{n-1}, x = 4H/hw, times
+    2 (-1)^n exp(-x/2)."""
+    h, m, w = params.hbar, params.m, params.omega
+    x = sym.scale(sk.hamiltonian(params), 4.0 / (h * w))
+    ls = [sym.ONE, sym.combine(sym.ONE, 1.0, x, -1.0)]
+    for n in range(1, n_max):
+        a = sym.combine(sym.scale(ls[n], 2 * n + 1.0), 1.0,
+                        sym.pointwise_multiply(x, ls[n]), -1.0)
+        ls.append(sym.combine(a, 1.0 / (n + 1), ls[n - 1], -n / (n + 1.0)))
+    return [sym.pointwise_multiply(ln, sym.gaussian(
+        2.0 * (-1.0) ** n, app=-1.0 / (m * h * w), aqq=-m * w / h))
+        for n, ln in enumerate(ls[:n_max + 1])]
+
+
+def _term_bits(f):
+    return [(t.pow_p, t.pow_q, t.coeff, np.signbit(t.coeff.real),
+             np.signbit(t.coeff.imag), t.expo) for t in f.terms]
+
+
+_PARAMS = (sym.Params(), sym.Params(m=1.4, omega=0.9, hbar=1.1),
+           sym.Params(m=0.7, omega=1.3, hbar=0.8, gamma=0.2))
+
+
+@pytest.mark.parametrize("par", _PARAMS)
+def test_wigner_states_match_the_symbolic_recurrence_bit_for_bit(par):
+    for n, want in enumerate(_symbolic_wigner_states(40, par)):
+        got = sk.sho_wigner_eigenstate(n, par)
+        assert _term_bits(got) == _term_bits(want), n
+
+
+@pytest.mark.parametrize("par", _PARAMS[:2])
+def test_offdiagonal_matches_the_ladder_products(par):
+    # abar^{*n} * rho_0 * a^{*n'} by star products, every n + n' <= 12
+    a, abar = sk.ladder_symbols(par)
+    star = sk.moyal_star(par)
+    left = sk.sho_wigner_eigenstate(0, par)
+    for n in range(13):
+        rho = left
+        for nprime in range(13 - n):
+            got = sk.sho_offdiagonal(n, nprime, par)
+            assert {t.expo for t in got.terms} == {t.expo for t in rho.terms}
+            want = {(t.pow_p, t.pow_q): t.coeff for t in rho.terms}
+            have = {(t.pow_p, t.pow_q): t.coeff for t in got.terms}
+            miss = max(abs(have.get(k, 0) - want.get(k, 0))
+                       for k in want.keys() | have.keys())
+            assert miss <= 1e-12 * max(map(abs, want.values())), (n, nprime)
+            rho = sk.star_product(rho, a, star)
+        left = sk.star_product(abar, left, star)
+
+
+def test_offdiagonal_is_conjugate_under_swap():
+    par = sym.Params(m=1.4, omega=0.9, hbar=1.1)
+    for n in range(13):
+        for nprime in range(13 - n):
+            assert sk.sho_offdiagonal(n, nprime, par) == sym.conjugate(
+                sk.sho_offdiagonal(nprime, n, par)), (n, nprime)
+
+
 def test_offdiagonal_degree_guard():
     with pytest.raises(DegreeGuardError):
         sk.sho_offdiagonal(7, 6)
