@@ -8,7 +8,8 @@ Run from the repository root as
 CASES is `series` (the series-path rows of `series_cases`), `algebra`
 (normalize and parse, `algebra_cases`), `grid_eval` (sample and
 evaluate_grid, `grid_eval_cases`), `grid_io` (the export and load rows
-of `grid_io_cases`) or `cold` (cold state builds, `cold_cases`).  It
+of `grid_io_cases`), `cold` (cold state builds, `cold_cases`) or `kernel`
+(star products and images on the group kernel, `kernel_cases`).  It
 extracts src/starkit of the git revision
 REV into a temporary directory, imports it as the package
 `starkit_parent` next to the working tree's `starkit`, and builds the
@@ -36,13 +37,14 @@ from pathlib import Path
 
 import starkit
 from bench_kernels import (algebra_cases, cold_cases, grid_eval_cases,
-                           grid_io_cases, series_cases)
+                           grid_io_cases, kernel_cases, series_cases)
 
 CASES = {"series": lambda pkg, directory: series_cases(pkg),
          "algebra": lambda pkg, directory: algebra_cases(pkg),
          "grid_eval": lambda pkg, directory: grid_eval_cases(pkg),
          "grid_io": grid_io_cases,
-         "cold": lambda pkg, directory: cold_cases(pkg)}
+         "cold": lambda pkg, directory: cold_cases(pkg),
+         "kernel": lambda pkg, directory: kernel_cases(pkg)}
 
 CALLS = 7
 

@@ -19,6 +19,11 @@
   moyal rho_3 star rho_3 (the group formula in doubled phase space), and
   on a pair of two-group Gaussian sums under each of the four products
   (four group pairs).
+- The group kernel (`kernel_cases`, also timed against another revision
+  by `ab_rows.py`): moyal rho_n star rho_n for n = 3, 6, 9, 12, damped
+  (0.3) rho_9 star rho_9, damped-flow pullbacks of rho_12, rho_24 and the
+  three-group member, the transition images and naive flow above, the
+  small-group products above, and poly6 star poly6 under each product.
 - The series path (`series_cases`, also timed against another revision
   by `ab_rows.py`): poly6 star poly6 and poly4 star a
   two-term class member (seeded `verify` draws) under each of the four
@@ -146,24 +151,25 @@ def bench_rk4_ops(dt=1e-3):
         report(f"{n}x{n}, {steps} {kind} steps", med, best)
 
 
-def two_group_member():
-    """rho_4 plus a polynomial times a displaced, correlated Gaussian."""
-    poly = sym.poly_symbol({(1, 1): 0.5, (2, 0): -0.3j, (0, 3): 0.2})
-    bump = sym.gaussian(1.0, app=-0.6, aqq=-0.4, apq=0.1, bp=0.2)
-    return sym.combine(sk.sho_wigner_eigenstate(4), 1.0,
-                       sym.pointwise_multiply(poly, bump), 1.0)
+def two_group_member(pkg=sk):
+    """rho_4 plus a polynomial times a displaced, correlated Gaussian,
+    built from the package pkg (as series_cases)."""
+    poly = pkg.poly_symbol({(1, 1): 0.5, (2, 0): -0.3j, (0, 3): 0.2})
+    bump = pkg.gaussian(1.0, app=-0.6, aqq=-0.4, apq=0.1, bp=0.2)
+    return pkg.combine(pkg.sho_wigner_eigenstate(4), 1.0,
+                       pkg.pointwise_multiply(poly, bump), 1.0)
 
 
-def three_group_member():
+def three_group_member(pkg=sk):
     """The two-group member plus a displaced pure Gaussian."""
-    return sym.combine(two_group_member(), 1.0,
-                       sym.gaussian(0.3j, app=-0.7, aqq=-0.5, bq=0.25), 1.0)
+    return pkg.combine(two_group_member(pkg), 1.0,
+                       pkg.gaussian(0.3j, app=-0.7, aqq=-0.5, bq=0.25), 1.0)
 
 
-def gaussian_sum(a, b):
+def gaussian_sum(a, b, pkg=sk):
     """Sum of two pure Gaussians with different exponents."""
-    return sym.combine(sym.gaussian(1.0, app=-a, aqq=-b, bq=0.1), 1.0,
-                       sym.gaussian(0.5j, app=-b, aqq=-a, apq=0.1), 1.0)
+    return pkg.combine(pkg.gaussian(1.0, app=-a, aqq=-b, bq=0.1), 1.0,
+                       pkg.gaussian(0.5j, app=-b, aqq=-a, apq=0.1), 1.0)
 
 
 def bench_maps(n=12):
@@ -255,6 +261,61 @@ def series_cases(pkg):
         ("husimi oracle, member * Gaussian, N = 12",
          lambda: pkg.star_series_oracle(member, gauss, pkg.husimi_star(1.0),
                                         12, spec))]
+
+
+def kernel_cases(pkg):
+    """(label, call) rows of the group kernel, built from the package pkg
+    (as series_cases): moyal rho_n star rho_n for n = 3, 6, 9, 12 and
+    damped (0.3) rho_9 star rho_9; damped-flow pullbacks (gamma = 0.2,
+    t = 1) of rho_12 and rho_24; the rows of bench_maps and the other
+    rows of bench_products; and the poly6 star poly6 rows of
+    series_cases."""
+    dyn = importlib.import_module(pkg.__name__ + ".dynamics")
+    draw = importlib.import_module(pkg.__name__ + ".verify")
+    rho = {n: pkg.sho_wigner_eigenstate(n) for n in (3, 6, 9, 12, 24)}
+    moyal, damped = pkg.moyal_star(), pkg.damped_star(0.1)
+    params = pkg.Params(gamma=0.2)
+    flow = dyn.flow_map(1.0, params)
+    damped_map = pkg.damped_transition(0.2)
+    two, three = two_group_member(pkg), three_group_member(pkg)
+    f = pkg.gaussian(1.0 + 0.3j, app=-0.4, aqq=-0.3, apq=0.1, bp=0.15)
+    g = pkg.gaussian(0.8, app=-0.35, aqq=-0.5, bq=-0.2j)
+    f2, g2 = gaussian_sum(0.5, 0.4, pkg), gaussian_sum(0.3, 0.6, pkg)
+    rng = np.random.default_rng(SERIES_SEED)
+    p6a, p6b = (draw._random_polynomial(rng, 6, 8) for _ in range(2))
+    stars = (moyal, damped, pkg.standard_star(), pkg.husimi_star(1.0))
+    rows = [(f"moyal, rho_{n} * rho_{n}",
+             lambda n=n: pkg.star_product(rho[n], rho[n], moyal))
+            for n in (3, 6, 9, 12)]
+    rows += [
+        ("damped(0.3), rho_9 * rho_9",
+         lambda: pkg.star_product(rho[9], rho[9], pkg.damped_star(0.3))),
+        ("pullback t=1, rho_12", lambda: dyn.pullback(rho[12], flow)),
+        ("pullback t=1, rho_24", lambda: dyn.pullback(rho[24], flow)),
+        ("pullback t=1, three-group member",
+         lambda: dyn.pullback(three, flow)),
+        ("apply damped(0.2), rho_12",
+         lambda: pkg.apply(damped_map, rho[12])),
+        ("apply husimi(1.0), rho_12",
+         lambda: pkg.apply(pkg.husimi_transition(1.0), rho[12])),
+        ("apply damped(0.2), two-group member",
+         lambda: pkg.apply(damped_map, two)),
+        ("evolve_naive gamma=0.2, t=1, rho_12",
+         lambda: dyn.evolve_naive(rho[12], 1.0, params)),
+        ("damped(0.1), Gaussian pair", lambda: pkg.star_product(f, g, damped))]
+    rows += [(f"{s.name}, two-group Gaussian sums",
+              lambda s=s: pkg.star_product(f2, g2, s)) for s in stars]
+    rows += [(f"{s.name}, poly6 * poly6",
+              lambda s=s: pkg.star_product(p6a, p6b, s)) for s in stars]
+    return rows
+
+
+def bench_kernel():
+    print("group kernel")
+    for label, call in kernel_cases(sk):
+        call()  # warm-up outside timing
+        med, best, _ = timeit(call, 7)
+        report(label, med, best)
 
 
 def bench_series():
@@ -469,6 +530,7 @@ def bench_readme_scenario():
 
 BENCHES = {"eval": bench_eval, "rk4": bench_rk4, "rk4_ops": bench_rk4_ops,
            "maps": bench_maps, "products": bench_products,
+           "kernel": bench_kernel,
            "series": bench_series, "algebra": bench_algebra,
            "grid_eval": bench_grid_eval, "grid_io": bench_grid_io,
            "cold": bench_cold, "readme": bench_readme_scenario}

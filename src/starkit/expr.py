@@ -15,7 +15,8 @@ import cmath
 import re
 
 from . import symbols as sym
-from .errors import ExprDegreeError, ExprPowerError, ExprSyntaxError
+from .errors import (ExprDegreeError, ExprPowerError, ExprSyntaxError,
+                     NonFiniteError)
 
 # One token after optional whitespace, matched lazily at the current
 # position, so a stray character is reported only where the parser reaches
@@ -102,7 +103,11 @@ class _Parser:
         x = _number(val, pos)
         if self.peek()[0] == "^":
             self.next()
-            x **= self._uint()
+            n = self._uint()
+            try:
+                x **= n
+            except OverflowError:
+                raise NonFiniteError(f"divisor {val}^{n} overflows") from None
         if x == 0:
             raise ExprSyntaxError("division by zero", pos)
         return x

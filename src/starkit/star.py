@@ -9,19 +9,17 @@ the right by dR.  Four configurations of one engine:
     standard   B = [[0, i*hbar], [0, 0]]
     husimi(s)  moyal + (hbar/2) diag(s^2, 1/s^2)
 
-Products are exact on the whole class, by one of three routes:
+Products are exact on the whole class, by one of two routes:
 
-- two polynomials: _polynomial_star, on one dense coefficient array over
-  the doubled space (y, z), one terminating factor exp(B_ij d_yi d_zj) per
-  nonzero B_ij, then y = z = x;
 - one polynomial side: the series terminates at its degree; one generator,
   _series_orders, yields it order by order to _series_star and to
   numerics.star_series_oracle;
-- no polynomial side: in the doubled space exp(dL^T B dR) is
+- otherwise, in the doubled space (y, z), exp(dL^T B dR) is
   exp((1/2) grad^T S grad) with S = [[0, B], [B^T, 0]] followed by
-  y = z = x, and _group_image, the one Gaussian-group kernel
-  (transition._image calls it with d = 2), applies it per pair of groups,
-  alone forming, guarding and inverting K = I - 2 S M.
+  y = z = x.  _group_image, the one Gaussian-group kernel (transition's
+  too, with d = 2), applies it per pair of exponent groups to one dense
+  coefficient array: Taylor factors, a shift, y = K^{-1} E x and the
+  product's monomials placed.  Two polynomials are its M = 0 case.
 """
 
 import cmath
@@ -35,6 +33,7 @@ from .errors import (BranchAmbiguityError, NonFiniteError, NonTerminatingError,
 from .symbols import Params, Term
 
 SINGULAR_TOL = 1e-12
+_E = np.vstack([np.eye(2)] * 2)  # y = z = x in the doubled space
 
 
 @dataclass(frozen=True)
@@ -141,56 +140,90 @@ def _series_star(f, g, B, n_max):
     return sym.normalize(raw)
 
 
-def _coefficient_array(f):
-    """A polynomial symbol as the complex array F[pow_q, pow_p]."""
-    F = np.zeros((max(t.pow_q for t in f.terms) + 1,
-                  max(t.pow_p for t in f.terms) + 1), dtype=np.complex128)
-    for t in f.terms:
-        F[t.pow_q, t.pow_p] = t.coeff
+def _coefficient_array(P):
+    """A {(pow_q, pow_p): coeff} polynomial as the complex array F[pow_q, pow_p]."""
+    F = np.zeros([max(n) + 1 for n in zip(*P)], dtype=np.complex128)
+    for key, c in P.items():
+        F[key] = c
     return F
 
 
-def _polynomial_star(f, g, B):
-    """Exact product of two nonzero polynomials on dense coefficient arrays.
-
-    In the doubled space T = F (x) G over (y_q, y_p, z_q, z_p).  Each
-    nonzero B_ij applies exp(B_ij d_{y_i} d_{z_j}), the factors commuting:
-    the terminating sum over k of B_ij^k / k! times T shifted down by k on
-    axes i and 2 + j, weighted by the falling factorials (u + k)! / u! of
-    both.  y = z = x then sums T[a, b, c, d] into H[a + c, b + d], and H
-    becomes the Symbol through symbols.array_symbol.  T has one entry per
-    pair of (pow_q, pow_p) cells of F and G, so two dense operands of
-    degree d take O(d^4) memory.
+def _exp_factor(T, w, i, j):
+    """exp(w d_i d_j) T on a coefficient array indexed by powers, i <= j:
+    the terminating sum over k of w^k / k! times T shifted down by k on
+    axes i and j (by 2k on axis i = j), weighted by the falling factorials
+    (u + k)! / u! of both ((u + 2k)! / u!).  It ends with the shorter axis.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        T = np.multiply.outer(_coefficient_array(f), _coefficient_array(g))
-        for i in (0, 1):
-            for j in (0, 1):
-                if B[i][j]:
-                    T = _exp_factor(T, complex(B[i][j]), i, 2 + j)
-        width = T.shape[1] + T.shape[3] - 1  # pow_p of H runs to width - 1
-        a, b, c, d = np.ix_(*(np.arange(n) for n in T.shape))
-        flat = ((a + c) * width + (b + d)).ravel()
-        H = np.empty((T.shape[0] + T.shape[2] - 1, width), dtype=np.complex128)
-        H.real, H.imag = (np.bincount(flat, part.ravel(), H.size).reshape(
-            H.shape) for part in (T.real, T.imag))
-    return sym.array_symbol(H)
-
-
-def _exp_factor(T, beta, i, j):
-    """exp(beta d_i d_j) T for two distinct axes i, j of a coefficient
-    array indexed by powers; the sum ends with the shorter axis."""
-    out = T.copy()
-    src, dst = (np.moveaxis(x, (i, j), (0, 1)) for x in (T, out))
-    wi, wj, c = np.ones(T.shape[i]), np.ones(T.shape[j]), 1.0 + 0j
-    for k in range(1, min(T.shape[i], T.shape[j])):
-        c *= beta / k
+    out, ar = T.copy(), np.arange(max(T.shape))
+    wi, wj, c, k = np.ones(T.shape[i]), np.ones(T.shape[j]), 1.0 + 0j, 1
+    while min(len(wi), len(wj)) > 1 + (i == j):
+        c *= w / k
         # (u + k)! / u! from (u + 1 + k - 1)! / (u + 1)! times (u + 1)
-        wi = wi[1:] * np.arange(1, len(wi))
-        wj = wj[1:] * np.arange(1, len(wj))
-        w = c * np.multiply.outer(wi, wj)
-        dst[:len(wi), :len(wj)] += w[:, :, None, None] * src[k:, k:]
+        wi, wj = (x[1:] * ar[1:len(x)] for x in (wi, wj))
+        if i == j:  # the same step again: (u + 2k)! / u!
+            wi = wj = wi[1:] * ar[1:len(wi)]
+        v = c * (wi if i == j else np.multiply.outer(wi, wj))
+        shape, src, dst = [1] * T.ndim, [slice(None)] * T.ndim, [slice(None)] * T.ndim
+        for ax, n in ((i, len(wi)), (j, len(wj))):
+            shape[ax], src[ax], dst[ax] = n, slice(T.shape[ax] - n, None), slice(n)
+        out[tuple(dst)] += v.reshape(shape) * T[tuple(src)]
+        k += 1
     return out
+
+
+def _shift(T, s, k):
+    """T(y + s e_k): axis k of T times W[v, u] = C(v, u) s^(v - u), row v
+    the coefficients of (y + s)^v, (y + s) times row v - 1."""
+    W = np.eye(T.shape[k], dtype=np.complex128)
+    for v in range(1, len(W)):
+        W[v, 1:v] = W[v - 1, :v - 1]
+        W[v, :v] += s * W[v - 1, :v]
+    axes = list(range(T.ndim))
+    return np.einsum(T, axes, W, [k, T.ndim], axes[:k] + [T.ndim] + axes[k + 1:])
+
+
+def _substitute(T, L, k):
+    """T with its variables (y, z) on axes k, k + 1 replaced by y = L00 q
+    + L01 p, z = L10 q + L11 p; the axes become (pow_q, pow_p).  A
+    diagonal L scales the powers; otherwise degree n maps by one matrix,
+    its row a the coefficients of q^j p^(n - j) in y^a z^(n - a), each row
+    one form times a row of the degree n - 1 matrix."""
+    na, nb = T.shape[k:k + 2]
+    (l00, l01), (l10, l11) = L.tolist()
+    if na == nb == 1 or (l00, l01, l10, l11) == (1, 0, 0, 1):
+        return T
+    if l01 == l10 == 0:
+        scale = np.multiply.outer(l00 ** np.arange(na), l11 ** np.arange(nb))
+        return T * scale.reshape(scale.shape + (1,) * (T.ndim - k - 2))
+    order = (k, k + 1) + tuple(ax for ax in range(T.ndim) if ax // 2 != k // 2)
+    X = T.transpose(order).reshape(na, nb, -1)
+    top = int(np.add(*np.nonzero(X.any(axis=2))).max(initial=0))
+    Y = np.zeros((top + 1, top + 1, X.shape[2]), dtype=np.complex128)
+    W, j = np.ones((1, 1), dtype=np.complex128), np.arange(top + 1)
+    Y[0, 0] = X[0, 0]
+    for n in range(1, top + 1):
+        prev, W = W, np.zeros((n + 1, n + 1), dtype=np.complex128)
+        W[1:, 1:], W[0, 1:] = l00 * prev, l10 * prev[0]
+        W[1:, :-1] += l01 * prev
+        W[0, :-1] += l11 * prev[0]
+        a = j[max(0, n - nb + 1):min(n, na - 1) + 1]
+        Y[j[:n + 1], n - j[:n + 1]] = np.einsum("aj,ab->jb", W[a], X[a, n - a])
+    # order swaps the pairs of axes, so it is its own inverse
+    return Y.reshape(Y.shape[:2] + T.shape[:k] + T.shape[k + 2:]).transpose(order)
+
+
+def _place(T):
+    """Sum T[a, b, c, d] into H[a + c, b + d]: the product of the two
+    sides' (q, p) monomials, by one np.bincount per part."""
+    if T.shape[:2] == (1, 1) or T.shape[2:] == (1, 1):  # a constant side
+        return T.reshape(T.shape[0] * T.shape[2], -1)
+    width = T.shape[1] + T.shape[3] - 1  # pow_p of H runs to width - 1
+    a, b, c, d = np.ix_(*(np.arange(n) for n in T.shape))
+    flat = ((a + c) * width + (b + d)).ravel()
+    H = np.empty((T.shape[0] + T.shape[2] - 1, width), dtype=np.complex128)
+    H.real, H.imag = (np.bincount(flat, part.ravel(), H.size).reshape(
+        H.shape) for part in (T.real, T.imag))
+    return H
 
 
 def _sqrt_prefactor(det):
@@ -203,60 +236,85 @@ def _sqrt_prefactor(det):
     return 1.0 / np.sqrt(det)
 
 
-def _group_image(P, M, beta, S, E):
-    """Terms of exp((1/2) grad^T S grad) on one exponent group, at y = E x.
+@np.errstate(over="ignore", invalid="ignore")  # array_symbol checks
+def _group_image(Fs, M, beta, S, E):
+    """exp((1/2) grad^T S grad) on one exponent group, at y = E x.
 
-    The group is P(y) exp(y^T M y + beta^T y) in d = len(S) variables, P a
-    {powers: coeff} polynomial, E the d x 2 restriction to x = (q, p).
-    With K = I - 2 S M and R = K^{-1} S, averaging over Gaussian shifts of
+    The group is F(y) exp(y^T M y + beta^T y) in d = len(S) variables (2
+    or 4), F the outer product of the arrays Fs[pow_q, pow_p], one per
+    pair of variables; E is the d x 2 restriction to x = (q, p).  With
+    K = I - 2 S M and R = K^{-1} S, averaging over Gaussian shifts of
     covariance S gives
 
         det(K)^(-1/2) e^{(1/2) beta^T R beta}
             * exp(x^T E^T M K^{-1} E x + (E^T K^{-T} beta)^T x)
-            * [exp((1/2) grad^T R grad) P](K^{-1} E x + R beta).
+            * [exp((1/2) grad^T R grad) F](K^{-1} E x + R beta),
 
-    det K passes the _sqrt_prefactor guards before K is inverted.
+    returned as (H[pow_q, pow_p], exponent).  If (SM)^2 is all exact
+    zeros, K is unipotent: det K = 1 and K^{-1} = I + 2SM, no LAPACK call;
+    else det K passes the _sqrt_prefactor guards before K is inverted.
+    On F: exp(R_ij d_i d_j), i < j, and exp(R_ii d_i^2 / 2) (_exp_factor),
+    a shift by R beta (_shift), K^{-1} E x (_substitute), and _place.
     """
-    K = np.eye(len(S)) - 2.0 * S @ M
-    coeff = _sqrt_prefactor(complex(np.linalg.det(K)))
-    Kinv = np.linalg.inv(K)
-    R = Kinv @ S
-    R = 0.5 * (R + R.T)  # symmetric analytically; enforce numerically
-    L = Kinv @ E
-    image = sym.affine_image(sym.taylor_image(P, R), L, R @ beta)
-    c = coeff * cmath.exp(0.5 * complex(beta @ R @ beta))
-    expo = sym.QuadExponent.from_quad_form(E.T @ M @ L, L.T @ beta)
-    return [Term(c * d, pp, pq, expo) for (pq, pp), d in image.items()]
+    d = len(S)
+    SM, coeff, R, L = S @ M, 1.0, S, E
+    if SM.any():  # else K = I
+        K, unipotent = np.eye(d) - 2.0 * SM, not (SM @ SM).any()
+        coeff = 1.0 if unipotent else _sqrt_prefactor(complex(np.linalg.det(K)))
+        Kinv = np.eye(d) + 2.0 * SM if unipotent else np.linalg.inv(K)
+        R = Kinv @ S
+        R = 0.5 * (R + R.T)  # symmetric analytically; enforce numerically
+        L = Kinv @ E
+    s, w = R @ beta, R.tolist()
+    T = np.multiply.outer(*Fs) if len(Fs) == 2 else Fs[0]
+    for i in range(d):
+        for j in range(i, d):
+            if min(T.shape[i], T.shape[j]) > 1 + (i == j) and w[i][j]:
+                T = _exp_factor(T, w[i][j] / (2 if i == j else 1), i, j)
+    for k, sk in enumerate(s.tolist()):
+        if T.shape[k] > 1 and sk:
+            T = _shift(T, sk, k)
+    for k in range(0, d, 2):
+        T = _substitute(T, L[k:k + 2], k)
+    H = _place(T) if d == 4 else T
+    c = coeff * cmath.exp(0.5 * complex(beta @ s))
+    expo = (sym.QuadExponent.from_quad_form(E.T @ M @ L, L.T @ beta)
+            if M.any() or beta.any() else sym.ZERO_EXPO)
+    return (H if c == 1 else c * H), expo
+
+
+def _sum_images(images):
+    """The symbol of a list of (H, exponent) group images."""
+    if len(images) == 1:
+        return sym.array_symbol(*images[0])
+    return sym.normalize([Term(H[q, p], p, q, expo) for H, expo in images
+                          for q, p in np.argwhere(H).tolist()])
 
 
 def star_product(f, g, star):
     """Exact star product of two class members.
 
-    Two polynomials go through _polynomial_star; one polynomial operand
-    gives a series (_series_star) that ends at its degree; otherwise each
-    pair of groups goes through _group_image in the doubled space.
+    One polynomial operand gives a series (_series_star) that ends at its
+    degree; otherwise each pair of exponent groups goes through
+    _group_image in the doubled space, two polynomials as its M = 0 case.
     """
     if f.is_zero() or g.is_zero():
         return sym.ZERO
     B = star.matrix()
-    degrees = [h.degree() for h in (f, g) if h.is_polynomial()]
-    if len(degrees) == 2:
-        return _polynomial_star(f, g, B)
-    if degrees:
-        return _series_star(f, g, B, min(degrees))
-    zero = np.zeros((2, 2))
-    S = np.block([[zero, B], [B.T, zero]])
-    E = np.vstack([np.eye(2)] * 2)
-    right = [(e.quad_form(), P) for e, P in sym.exponent_groups(g).items()]
-    raw = []
-    for e1, P1 in sym.exponent_groups(f).items():
-        A1, b1 = e1.quad_form()
-        for (A2, b2), P2 in right:
-            P = {k1 + k2: c1 * c2 for k1, c1 in P1.items()
-                 for k2, c2 in P2.items()}
-            raw += _group_image(P, np.block([[A1, zero], [zero, A2]]),
-                                np.concatenate([b1, b2]), S, E)
-    return sym.normalize(raw)
+    groups = [sym.exponent_groups(h) for h in (f, g)]
+    polynomial = [list(side) == [sym.ZERO_EXPO] for side in groups]
+    if polynomial[0] != polynomial[1]:
+        return _series_star(f, g, B, (f if polynomial[0] else g).degree())
+    S = np.zeros((4, 4), dtype=np.complex128)
+    S[:2, 2:], S[2:, :2] = B, B.T
+    sides = [[], []]
+    for side, half, out in zip(groups, (slice(0, 2), slice(2, 4)), sides):
+        for e, P in side.items():
+            M, beta = np.zeros((4, 4), complex), np.zeros(4, complex)
+            M[half, half], beta[half] = e.quad_form()
+            out.append((_coefficient_array(P), M, beta))
+    return _sum_images([_group_image((F1, F2), M1 + M2, b1 + b2, S, _E)
+                        for F1, M1, b1 in sides[0] for F2, M2, b2 in sides[1]])
 
 
 def star_commutator(f, g, star):

@@ -7,9 +7,9 @@ A symbol is a finite sum of terms
 with complex coefficients throughout.  The class is closed under addition,
 pointwise multiplication, differentiation, complex conjugation and linear
 maps of (q, p).  This module holds the algebra and evaluation; linear maps
-act through the group kernel in star (via transition._image), for which
-taylor_image and affine_image here are the polynomial steps.  Symbols are
-immutable after normalization; every operation here is a pure function.
+and star products act through the group kernel in star, on coefficient
+arrays that array_symbol turns back into symbols.  Symbols are immutable
+after normalization; every operation here is a pure function.
 """
 
 import cmath
@@ -279,7 +279,9 @@ def poly_symbol(coeff_map):
 def array_symbol(C, expo=ZERO_EXPO):
     """The symbol of the coefficient array C[pow_q, pow_p] times exp(expo),
     as normalize forms it: zero entries pruned, no part -0.0 (its 0 + c),
-    ordered by descending (total degree, pow_p)."""
+    ordered by descending (total degree, pow_p), expo checked finite."""
+    if expo is not ZERO_EXPO:
+        expo = QuadExponent(*(_check_finite(complex(e)) for e in expo.entries()))
     C = np.asarray(C, dtype=np.complex128)
     # + 0.0 makes every zero part +0.0, as normalize's sums do
     re, im = C.real + 0.0, C.imag + 0.0
@@ -406,75 +408,6 @@ def exponent_groups(f):
     for t in f.terms:
         groups.setdefault(t.expo, {})[t.pow_q, t.pow_p] = t.coeff
     return groups
-
-
-def _poly_mul(a, b):
-    """Product of two {(i, j): coeff} polynomials in two variables."""
-    out = {}
-    for (i, j), c in a.items():
-        for (k, m), d in b.items():
-            out[i + k, j + m] = out.get((i + k, j + m), 0) + c * d
-    return out
-
-
-def taylor_image(P, R):
-    """exp((1/2) grad^T R grad) on a {powers: coeff} polynomial in len(R)
-    variables, keyed in the order of the rows of R.
-
-    Order k of the series is (1/2k) grad^T R grad of order k - 1; each order
-    lowers the degree by 2, so the series ends.
-    """
-    # (1/2) grad^T R grad = sum_{i <= j} w_ij d_i d_j, symmetric part of R
-    ops = [(complex(R[i, j] + R[j, i]) / (4 if i == j else 2), i, j)
-           for i in range(len(R)) for j in range(i, len(R))]
-    ops = [op for op in ops if op[0]]
-    out, order, k = dict(P), P, 0
-    while order:
-        k += 1
-        nxt = {}
-        for key, c in order.items():
-            for w, i, j in ops:
-                # d_i d_j y^key = key_i (key_j - [i = j]) y^(key - e_i - e_j)
-                factor = key[i] * (key[j] - (i == j))
-                if factor:
-                    low = tuple(n - (m == i) - (m == j)
-                                for m, n in enumerate(key))
-                    nxt[low] = nxt.get(low, 0) + c * w * factor / k
-        for key, c in nxt.items():
-            out[key] = out.get(key, 0) + c
-        order = nxt
-    return out
-
-
-def affine_image(P, L, s):
-    """P(L x + s) as a {(pow_q, pow_p): coeff} polynomial in x = (q, p).
-
-    P is a {powers: coeff} polynomial in len(L) variables; row k of L and
-    entry k of s give the affine form of (q, p) that replaces variable k.
-    Each form's powers are built once, and monomials expand one variable at
-    a time, so monomials sharing leading powers share partial products.
-    """
-    # powers[k][n]: n-th power of the affine form replacing variable k
-    powers = [[{(0, 0): 1.0}, {key: complex(c) for key, c in
-               (((1, 0), lq), ((0, 1), lp), ((0, 0), sk)) if c}]
-              for (lq, lp), sk in zip(L, s)]
-
-    def expand(poly, k):
-        if k == len(powers):
-            return {(0, 0): poly[()]}
-        by_power = {}
-        for key, c in poly.items():
-            by_power.setdefault(key[0], {})[key[1:]] = c
-        out = {}
-        for n, rest in by_power.items():
-            pw = powers[k]
-            while len(pw) <= n:
-                pw.append(_poly_mul(pw[-1], pw[1]))
-            for key, c in _poly_mul(pw[n], expand(rest, k + 1)).items():
-                out[key] = out.get(key, 0) + c
-        return out
-
-    return expand(P, 0)
 
 
 def evaluate(f, p, q):

@@ -12,10 +12,10 @@ symmetric 2x2 complex matrix over (d_q, d_p) and L a 2x2 matrix on column
 and the flows of dynamics are (0, L).  As exp((1/2) grad^T C grad)(h o L)
 = (exp((1/2) grad^T L C L^T grad) h) o L, maps compose and invert in
 closed form.  _image applies a map exactly, one exponent group
-P(x) exp(x^T A x + beta^T x), x = (q, p), at a time: star._group_image
-with d = 2, S = C and E = L forms and guards K = I - 2CA and applies, with
-R = K^{-1} C, a terminating Taylor series in R on P composed with the
-affine map x -> K^{-1} L x + R beta.  C = 0 gives the pullback f(L x).
+P(x) exp(x^T A x + beta^T x), x = (q, p), at a time, through
+star._group_image with d = 2, S = C and E = L, on P's coefficient array:
+the Taylor series of exp((1/2) grad^T R grad), R = K^{-1} C, K = I - 2CA,
+then x -> K^{-1} L x + R beta.  C = 0 gives the pullback f(L x).
 """
 
 from dataclasses import dataclass
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import symbols as sym
 from .errors import NonFiniteError, NonTerminatingError
-from .star import _group_image, star_product
+from .star import _coefficient_array, _group_image, _sum_images, star_product
 from .symbols import Params
 
 
@@ -83,11 +83,9 @@ def inverse(op):
 
 def _image(f, m):
     """[exp((1/2) grad^T C grad) f] o L; exact, one group at a time."""
-    raw = []
-    for e, P in sym.exponent_groups(f).items():
-        A, beta = e.quad_form()
-        raw += _group_image(P, A, beta, m.C, m.L)
-    return sym.normalize(raw)
+    return _sum_images([
+        _group_image((_coefficient_array(P),), *e.quad_form(), m.C, m.L)
+        for e, P in sym.exponent_groups(f).items()])
 
 
 def apply(op, f):

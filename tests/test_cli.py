@@ -73,6 +73,13 @@ def test_star_numeric_failure_exit_code(capsys):
     assert code == 4
 
 
+def test_star_overflowing_divisor_exit_code(capsys):
+    code, out, err = run(capsys, "star", "--", "1/10^400", "1")
+    assert code == 4
+    assert out == ""
+    assert err.count("error:") == 1 and len(err.strip().splitlines()) == 1
+
+
 def test_star_output_reparses(capsys):
     code, out, _ = run(capsys, "star", "exp(-(q^2+p^2))", "exp(-(q^2+p^2))",
                        "--product", "moyal")

@@ -435,3 +435,21 @@ def test_damped_ansatz_rejects_negative_decay():
     with pytest.raises(PositivityError):
         dynamics.evolve_damped_ansatz([(1.0, 0.5 - 0.1j, 0.5 + 0j, state)],
                                       0.5)
+
+
+@pytest.mark.parametrize("n", [4, 8, 12])
+def test_evolved_wigner_state_matches_the_value_recurrence(n):
+    # rho_n(L(-t) x) against the Laguerre value recurrence at the mapped
+    # nodes, gamma = 0.2, t = 1.  The expanded coefficients cancel as n
+    # grows, with no guard yet: the dict kernel this replaced missed by
+    # 1.9e-6, 6.5e-3 and 1.8 at n = 16, 20 and 24 (1.0e-7, 4.1e-5 and
+    # 3.2e-2 on the dense kernel); at n = 12 it missed by 4.2e-9.
+    params = sym.Params(gamma=0.2)
+    L = dynamics.flow_map(-1.0, params).matrix()
+    P, Q = sym.SAMPLE_SPEC.meshes()
+    want = sk.sho_wigner_values(n, L[1, 0] * Q + L[1, 1] * P,
+                                L[0, 0] * Q + L[0, 1] * P)[n]
+    got = sym.evaluate_grid(
+        dynamics.evolve_classical(sk.sho_wigner_eigenstate(n), 1.0, params),
+        P, Q)
+    assert np.abs(got - want).max() <= 1e-7

@@ -2,7 +2,8 @@ import pytest
 
 import starkit as sk
 from starkit import symbols as sym
-from starkit.errors import ExprDegreeError, ExprPowerError, ExprSyntaxError
+from starkit.errors import (ExprDegreeError, ExprPowerError, ExprSyntaxError,
+                            NonFiniteError)
 from starkit.expr import format_symbol, parse
 
 from conftest import random_symbol
@@ -36,6 +37,15 @@ def test_parse_division_rules():
         parse("q/p")
     with pytest.raises(ExprSyntaxError):
         parse("q/0")
+
+
+def test_parse_overflowing_divisor_raises_typed():
+    # 10^400 as a factor and as a divisor both overflow a double
+    for text in ("10^400", "1/10^400", "q/1e300^2"):
+        with pytest.raises(NonFiniteError) as err:
+            parse(text)
+        if "/" in text:
+            assert "divisor" in str(err.value)
 
 
 def test_parse_degree_error():

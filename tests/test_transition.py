@@ -357,3 +357,57 @@ def test_inverse_undoes_a_general_map(rng):
 def test_non_finite_map_raises(make):
     with pytest.raises(NonFiniteError):
         make()
+
+
+def _taylor_series(f, C):
+    """sum_k (D^k f) / k! with D = (1/2) grad^T C grad, by symbolic
+    derivatives; the series ends as D lowers the degree by 2."""
+    def D(h):
+        out = sym.ZERO
+        for (a, b), w in ((("q", "q"), C[0][0] / 2), (("p", "p"), C[1][1] / 2),
+                          (("q", "p"), C[0][1])):
+            out = sym.combine(out, 1.0, sym.differentiate(
+                sym.differentiate(h, a), b), w)
+        return out
+    total, order, k = f, f, 0
+    while not order.is_zero():
+        k += 1
+        order = sym.scale(D(order), 1.0 / k)
+        total = sym.combine(total, 1.0, order, 1.0)
+    return total
+
+
+def test_taylor_factors_match_symbolic_derivatives():
+    # symmetric C with nonzero diagonal (the d_i^2 factors) and off-diagonal
+    C = ((0.3 - 0.1j, 0.2 + 0.15j), (0.2 + 0.15j, -0.25 + 0.05j))
+    rng = np.random.default_rng(2029)
+    for degree in range(9):
+        for _ in range(4):
+            f = random_polynomial(rng, degree, 8, scale=1.0)
+            got = transition.apply(transition.GaussianMap(C, np.eye(2)), f)
+            want = _taylor_series(f, C)
+            a = {(t.pow_p, t.pow_q): t.coeff for t in want.terms}
+            b = {(t.pow_p, t.pow_q): t.coeff for t in got.terms}
+            top = max(abs(c) for c in a.values())
+            for key in a.keys() | b.keys():
+                assert abs(a.get(key, 0) - b.get(key, 0)) <= 1e-13 * top
+
+
+def test_unipotent_kernel_skips_the_determinant(monkeypatch):
+    # M = 0 (two polynomials) and S = 0 (a pullback) give (SM)^2 = 0:
+    # det K = 1 and K^{-1} = I + 2SM without LAPACK
+    calls = []
+
+    def counting(det):
+        calls.append(det)
+        return sqrt_prefactor(det)
+
+    sqrt_prefactor = star._sqrt_prefactor
+    monkeypatch.setattr(star, "_sqrt_prefactor", counting)
+    f = sym.poly_symbol({(2, 1): 0.5, (0, 3): -1.0j, (1, 0): 2.0})
+    sk.star_product(f, f, sk.husimi_star(0.8))
+    sk.pullback(sk.sho_wigner_eigenstate(4), sk.flow_map(0.7))
+    assert calls == []
+    sk.star_product(sk.sho_wigner_eigenstate(2), sk.sho_wigner_eigenstate(2),
+                    sk.moyal_star())
+    assert len(calls) == 1
