@@ -36,7 +36,9 @@
   N = 12 on the 9x9 sample lattice (its divergence warning silenced:
   N = 12 is a timing input).
 - `normalize` on the terms of the Wigner state n = 24 repeated three
-  times (975 raw terms, one exponent), and `parse` of its printed form.
+  times (975 raw terms, one exponent), `parse` of its printed form, and
+  1000 calls each of the one-term constructors `const`, `monomial` and
+  `scale` of a one-term Gaussian (normalize's one-term path).
 - `export_grid` (CSV and JSON) and `load_grid` on `WIDE_SPEC` of the
   Wigner state n = 12 (real values) and of the off-diagonal state
   rho_{4,8} evolved to t = 0.7 at gamma = 0.2 (complex values), each
@@ -45,8 +47,9 @@
 - `sample` (`grid_eval_cases`, also timed against another revision by
   `ab_rows.py`) of the Wigner states n = 24 and n = 12 and of a Gaussian
   on the 9x9 sample lattice and on [-6, 6]^2 at 201x201, 401x401 and
-  801x801, and `evaluate_grid` of the same three on the sample lattice's
-  meshes (the 9x9 checks of `approx_equal` and `residual`); the growth of
+  801x801, `evaluate_grid` of the same three and of the two-group member
+  on the sample lattice's meshes (the 9x9 checks of `approx_equal` and
+  `residual`), and `residual` of rho_6 against rho_5; the growth of
   peak RSS over one `sample` of n = 24 and over 20 damped `rk4_evolve`
   steps of a real Gaussian, both at 401x401 in a fresh interpreter.
 - Cold builds (`cold_cases`, also timed against another revision by
@@ -218,6 +221,7 @@ def bench_products():
 
 
 SERIES_SEED = 22
+ONE_TERM_CALLS = 1000  # calls of each one-term constructor per sample
 
 
 def series_cases(pkg):
@@ -334,19 +338,29 @@ def algebra_cases(pkg, n=24):
     state = pkg.sho_wigner_eigenstate(n)
     raw = list(state.terms) * 3
     text = expr.format_symbol(state)
+    scale = importlib.import_module(pkg.__name__ + ".symbols").scale
+    x = pkg.gaussian(0.5, app=-0.3, bq=0.1)
+
+    def one_term():
+        for _ in range(ONE_TERM_CALLS):
+            pkg.const(1.5)
+            pkg.monomial(2.0, 3, 1)
+            scale(x, 1j)
+
     return [(f"Wigner n={n}: normalize, {len(raw)} raw terms",
              lambda: pkg.normalize(raw)),
             (f"Wigner n={n}: parse, {len(text)} characters",
-             lambda: expr.parse(text))]
+             lambda: expr.parse(text)),
+            (f"one-term const, monomial and scale, {ONE_TERM_CALLS} each",
+             one_term)]
 
 
 def bench_algebra(n=24):
     print("symbol algebra")
-    (norm_label, norm), (parse_label, parse) = algebra_cases(sk, n)
-    med, best, _ = timeit(norm, 15)
-    report(norm_label, med, best)
-    med, best, back = timeit(parse, 7)
-    report(parse_label, med, best)
+    for label, call in algebra_cases(sk, n):
+        med, best, _ = timeit(call, 15)
+        report(label, med, best)
+    back = sk.parse(sk.format_symbol(sk.sho_wigner_eigenstate(n)))
     print(f"  parse(format_symbol(rho)) == rho: "
           f"{back == sk.sho_wigner_eigenstate(n)}")
 
@@ -361,7 +375,12 @@ def grid_eval_cases(pkg):
     small = pkg.GridSpec(-3.0, 3.0, -3.0, 3.0, 9, 9)
     P, Q = small.meshes()
     rows = [(f"{label}: evaluate_grid 9x9 meshes",
-             lambda f=f: pkg.evaluate_grid(f, P, Q)) for label, f in states]
+             lambda f=f: pkg.evaluate_grid(f, P, Q))
+            for label, f in states + (("two-group member",
+                                       two_group_member(pkg)),)]
+    rho5, rho6 = (pkg.sho_wigner_eigenstate(n) for n in (5, 6))
+    rows.append(("residual rho_6 vs rho_5 on 9x9",
+                 lambda: pkg.residual(rho6, rho5)))
     for n in (9, 201, 401, 801):
         spec = small if n == 9 else pkg.GridSpec(-6.0, 6.0, -6.0, 6.0, n, n)
         rows += [(f"{label}: sample {n}x{n}",

@@ -8,6 +8,7 @@ and smoothing integrals, and deterministic CSV/JSON grid export.
 """
 
 import json
+import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -145,6 +146,8 @@ def _series_tail(sizes):
 
 def _advection_fields(spec, params, kind):
     """(v_q, v_p) of rk4_evolve, broadcastable to the lattice."""
+    if kind not in ("damped", "naive"):
+        raise ValueError(f"kind must be 'damped' or 'naive', not {kind!r}")
     P, Q = _axes(spec)
     m, w, g = params.m, params.omega, params.gamma
     vq = P / m
@@ -239,8 +242,10 @@ def _advection(spec, params, kind, planes, h):
 
 
 def step_schedule(t, dt):
-    """(steps, h) of an rk4_evolve run over t: h = t / round(|t|/dt), so |h|
-    is at most 1.5 dt and h has the sign of t; dt finite and positive."""
+    """(steps, h) of an rk4_evolve run over a finite t: h = t / round(|t|/dt),
+    so |h| is at most 1.5 dt and h has the sign of t; dt finite, positive."""
+    if not math.isfinite(t):
+        raise NonFiniteError(f"evolution time t = {t} is not finite")
     if not 0 < dt < np.inf:
         raise ValueError("dt must be finite and positive")
     steps = max(1, round(abs(t) / dt))

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import symbols as sym
 from . import transition
-from .errors import BranchAmbiguityError, DegreeGuardError, SingularTimeError
+from .errors import (BranchAmbiguityError, DegreeGuardError, NonFiniteError,
+                     SingularTimeError)
 from .symbols import Params
 
 # sho_offdiagonal multiplies no ladders.  The guard stays for cancellation:
@@ -64,7 +65,7 @@ def _laguerre_state(n, k, scale, params):
     """
     h, m, w = params.hbar, params.m, params.omega
     x = sym.scale(hamiltonian(params), 4.0 / (h * w))
-    xc = {(t.pow_q, t.pow_p): t.coeff.real for t in x.terms}
+    xc = sym.exponent_groups(x)[sym.ZERO_EXPO].real
     prev, cur, xl = np.zeros((3, n + 1, n + 1))
     cur[0, 0] = 1.0
     for j in range(n):
@@ -152,11 +153,11 @@ def sho_offdiagonal(n, nprime, params=Params()):
     k = n - nprime
     L, expo = _laguerre_state(
         nprime, k, 2.0 * (-1.0) ** nprime * math.factorial(nprime), params)
-    abar = {(t.pow_q, t.pow_p): 2.0 * t.coeff
-            for t in ladder_symbols(params)[1].terms}
+    abar = sym.exponent_groups(ladder_symbols(params)[1])[sym.ZERO_EXPO]
+    (_, p_coeff), (q_coeff, _) = (2.0 * abar).tolist()  # 2 abar's p and q
     C = np.zeros((len(L) + k,) * 2, dtype=np.complex128)
     for i in range(k + 1):  # (2 abar)^k, one binomial term at a time
-        c = math.comb(k, i) * abar[1, 0] ** i * abar[0, 1] ** (k - i)
+        c = math.comb(k, i) * q_coeff ** i * p_coeff ** (k - i)
         C[i:i + len(L), k - i:k - i + len(L)] += c * L
     return sym.array_symbol(C, expo)
 
@@ -184,6 +185,8 @@ def damped_propagator(t, params=Params()):
     the branch of that square root off the real axis is not fixed.
     """
     w, m, h, g = params.omega, params.m, params.hbar, params.gamma
+    if not cmath.isfinite(t):
+        raise NonFiniteError(f"propagator time t = {t} is not finite")
     if g and complex(t).imag:
         raise ValueError("complex time needs gamma = 0")
     c = cmath.cos(0.5 * w * t)

@@ -140,14 +140,6 @@ def _series_star(f, g, B, n_max):
     return sym.normalize(raw)
 
 
-def _coefficient_array(P):
-    """A {(pow_q, pow_p): coeff} polynomial as the complex array F[pow_q, pow_p]."""
-    F = np.zeros([max(n) + 1 for n in zip(*P)], dtype=np.complex128)
-    for key, c in P.items():
-        F[key] = c
-    return F
-
-
 def _exp_factor(T, w, i, j):
     """exp(w d_i d_j) T on a coefficient array indexed by powers, i <= j:
     the terminating sum over k of w^k / k! times T shifted down by k on
@@ -301,18 +293,17 @@ def star_product(f, g, star):
     if f.is_zero() or g.is_zero():
         return sym.ZERO
     B = star.matrix()
+    if f.is_polynomial() != g.is_polynomial():
+        return _series_star(f, g, B, (f if f.is_polynomial() else g).degree())
     groups = [sym.exponent_groups(h) for h in (f, g)]
-    polynomial = [list(side) == [sym.ZERO_EXPO] for side in groups]
-    if polynomial[0] != polynomial[1]:
-        return _series_star(f, g, B, (f if polynomial[0] else g).degree())
     S = np.zeros((4, 4), dtype=np.complex128)
     S[:2, 2:], S[2:, :2] = B, B.T
     sides = [[], []]
     for side, half, out in zip(groups, (slice(0, 2), slice(2, 4)), sides):
-        for e, P in side.items():
+        for e, F in side.items():
             M, beta = np.zeros((4, 4), complex), np.zeros(4, complex)
             M[half, half], beta[half] = e.quad_form()
-            out.append((_coefficient_array(P), M, beta))
+            out.append((F, M, beta))
     return _sum_images([_group_image((F1, F2), M1 + M2, b1 + b2, S, _E)
                         for F1, M1, b1 in sides[0] for F2, M2, b2 in sides[1]])
 
@@ -358,9 +349,7 @@ def hw_phase(a, b, c, d, gamma, params=Params()):
     """
     f = sym.poly_symbol({(1, 0): a, (0, 1): b})
     target = sym.gaussian(1.0, bp=c, bq=d)
-    image = sym.combine(
-        star_product(f, target, damped_star(gamma, params)), 1.0,
-        star_product(target, f, damped_star(-gamma, params)), -1.0)
+    image = damped_ad(f, target, -gamma, params)
     scalar = sym.evaluate(image, 0.0, 0.0) / sym.evaluate(target, 0.0, 0.0)
     check = sym.approx_equal(image, sym.scale(target, scalar), 1e-10)
     if not check.ok:

@@ -66,7 +66,7 @@ class QuadExponent:
         return (self.app, self.aqq, self.apq, self.bp, self.bq)
 
     def is_zero(self):
-        return all(e == 0 for e in self.entries())
+        return not any(self.entries())
 
     def conjugate(self):
         return QuadExponent(*(e.conjugate() for e in self.entries()))
@@ -179,7 +179,7 @@ SAMPLE_SPEC = GridSpec(-3.0, 3.0, -3.0, 3.0, 9, 9)
 
 
 def _check_finite(c):
-    if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+    if not cmath.isfinite(c):
         raise NonFiniteError("non-finite coefficient")
     return c
 
@@ -195,17 +195,36 @@ def _representative(expo, reps):
     return len(reps) - 1
 
 
+def _power(n):
+    """n as a Python int; ValueError unless it is a non-negative integer."""
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError(f"powers must be non-negative integers, not {n!r}")
+    return int(n)
+
+
 def normalize(raw):
-    """Canonical form of a list of terms.
+    """Canonical form of a list of terms, the one owner of the class
+    invariants: finite coefficients and exponents, and powers that are
+    non-negative integers (else ValueError), stored as Python ints.
 
     Exponents within MERGE_TOL of an earlier representative are identified
     with it; terms sharing (pow_p, pow_q, exponent) merge by coefficient
     addition, each part summed by math.fsum (correctly rounded, so
     independent of the order the terms arrive in; a lone coefficient c
-    becomes 0 + c); zero coefficients are pruned; ordering is by descending
-    (total degree, pow_p, pow_q) then lexicographic exponent.  Each
-    distinct exponent is checked and placed once.
+    becomes 0 + c, its zero parts +0.0); zero coefficients are pruned;
+    ordering is by descending (total degree, pow_p, pow_q) then
+    lexicographic exponent.  Each distinct exponent and monomial is checked
+    once.  One term skips the grouping, with the same checks and bits.
     """
+    if len(raw) == 1:
+        t = raw[0]
+        c = 0 + _check_finite(complex(t.coeff))
+        pp, pq = t.pow_p, t.pow_q
+        if not (type(pp) is type(pq) is int and pp >= 0 and pq >= 0):
+            pp, pq = _power(pp), _power(pq)
+        expo = t.expo if t.expo is ZERO_EXPO else QuadExponent(
+            *(_check_finite(complex(e)) for e in t.expo.entries()))
+        return Symbol((Term(c, pp, pq, expo),) if c != 0 else ())
     reps = []
     rep_of = {}  # exponent -> index of its representative in reps
     buckets = {}
@@ -215,6 +234,10 @@ def normalize(raw):
         if idx is None:
             idx = rep_of[t.expo] = _representative(t.expo, reps)
         buckets.setdefault((t.pow_p, t.pow_q, idx), []).append(c)
+    if not all(type(pp) is type(pq) is int and pp >= 0 and pq >= 0
+               for pp, pq, _ in buckets):  # once per distinct monomial
+        buckets = {(_power(pp), _power(pq), idx): cs
+                   for (pp, pq, idx), cs in buckets.items()}
     expos = [QuadExponent(*r) for r in reps]  # one shared object per group
     keys = [tuple(x for e in r for x in (e.real, e.imag)) for r in reps]
     out = []
@@ -234,33 +257,16 @@ def normalize(raw):
     return Symbol(tuple(out))
 
 
-def _normalized(raw):
-    """normalize(raw), a single term formed without the grouping: the same
-    checks, and the coefficient is the sum normalize takes, 0 + c, whose
-    zero parts are +0.0.  So the result is the same bits, one term or many.
-    """
-    if len(raw) != 1:
-        return normalize(raw)
-    t = raw[0]
-    c = _check_finite(complex(t.coeff))
-    expo = t.expo if t.expo is ZERO_EXPO else QuadExponent(
-        *(_check_finite(complex(e)) for e in t.expo.entries()))
-    c = 0 + c
-    return Symbol((Term(c, t.pow_p, t.pow_q, expo),) if c != 0 else ())
-
-
 ZERO = Symbol(())
 ONE = normalize([Term(1.0, 0, 0)])
 
 
 def const(c):
-    return _normalized([Term(c, 0, 0)])
+    return normalize([Term(c, 0, 0)])
 
 
 def monomial(c, pow_p, pow_q):
-    if pow_p < 0 or pow_q < 0:
-        raise ValueError("monomial powers must be non-negative")
-    return _normalized([Term(c, pow_p, pow_q)])
+    return normalize([Term(c, pow_p, pow_q)])
 
 
 def variable(name):
@@ -300,13 +306,12 @@ def array_symbol(C, expo=ZERO_EXPO):
 
 def gaussian(coeff, app=0j, aqq=0j, apq=0j, bp=0j, bq=0j):
     """Single pure-Gaussian term coeff * exp(quadratic form)."""
-    return _normalized([Term(coeff, 0, 0,
-                             QuadExponent(app, aqq, apq, bp, bq))])
+    return normalize([Term(coeff, 0, 0, QuadExponent(app, aqq, apq, bp, bq))])
 
 
 def scale(f, a):
-    return _normalized([Term(t.coeff * a, t.pow_p, t.pow_q, t.expo)
-                        for t in f.terms])
+    return normalize([Term(t.coeff * a, t.pow_p, t.pow_q, t.expo)
+                      for t in f.terms])
 
 
 def combine(f, a, g, b):
@@ -318,12 +323,9 @@ def combine(f, a, g, b):
 
 def pointwise_multiply(f, g):
     """Ordinary commutative product: exponents add, monomial powers add."""
-    raw = []
-    for s in f.terms:
-        for t in g.terms:
-            raw.append(Term(s.coeff * t.coeff, s.pow_p + t.pow_p,
-                            s.pow_q + t.pow_q, s.expo + t.expo))
-    return _normalized(raw)
+    return normalize([Term(s.coeff * t.coeff, s.pow_p + t.pow_p,
+                           s.pow_q + t.pow_q, s.expo + t.expo)
+                      for s in f.terms for t in g.terms])
 
 
 def pointwise_power(f, n):
@@ -331,7 +333,7 @@ def pointwise_power(f, n):
 
     A single term's coefficient is multiplied and its exponent added in the
     repeated product's order.  No nonzero part depends on the sign of a
-    zero part, and the final _normalized makes zero signs canonical as
+    zero part, and the final normalize makes zero signs canonical as
     every step of the repeated product does, so the result is the same bits.
     """
     if n < 0:
@@ -349,7 +351,7 @@ def pointwise_power(f, n):
             expo = expo + t.expo
         if c == 0:  # the repeated product prunes the term here
             break
-    return _normalized([Term(c, t.pow_p * n, t.pow_q * n, expo)])
+    return normalize([Term(c, t.pow_p * n, t.pow_q * n, expo)])
 
 
 def _diff_term_once(t, var):
@@ -385,10 +387,7 @@ def differentiate(f, var, order=1):
         raise ValueError(f"need var 'p' or 'q', order >= 0: {var!r}, {order}")
     out = f
     for _ in range(order):
-        raw = []
-        for t in out.terms:
-            raw.extend(_diff_term_once(t, var))
-        out = normalize(raw)
+        out = normalize([d for t in out.terms for d in _diff_term_once(t, var)])
     return out
 
 
@@ -399,14 +398,20 @@ def conjugate(f):
 
 
 def exponent_groups(f):
-    """{exponent: {(pow_q, pow_p): coeff}}, in the order exponents first
-    appear, each polynomial in canonical term order.
+    """{exponent: F}, in the order exponents first appear, F[pow_q, pow_p]
+    the complex coefficient array of the exponent's polynomial factor.
 
-    f is the sum over the groups of polynomial * exp(exponent).
+    f is the sum over the groups of polynomial * exp(exponent), and
+    array_symbol(F, exponent) is a group's terms.
     """
     groups = {}
     for t in f.terms:
-        groups.setdefault(t.expo, {})[t.pow_q, t.pow_p] = t.coeff
+        groups.setdefault(t.expo, []).append(t)
+    for e, ts in groups.items():
+        shape = (max(t.pow_q for t in ts) + 1, max(t.pow_p for t in ts) + 1)
+        F = groups[e] = np.zeros(shape, dtype=np.complex128)
+        for t in ts:
+            F[t.pow_q, t.pow_p] = t.coeff
     return groups
 
 
@@ -423,16 +428,6 @@ def evaluate(f, p, q):
                 f"exponent real part {e.real:.3g} exceeds {EXP_LIMIT:g}")
         total += t.coeff * (p ** t.pow_p) * (q ** t.pow_q) * cmath.exp(e)
     return total
-
-
-def _poly_rows(poly, part):
-    """{pow_p: {pow_q: c}} of the real or imaginary parts of a polynomial."""
-    rows = {}
-    for (pow_q, pow_p), c in poly.items():
-        c = getattr(c, part)
-        if c:
-            rows.setdefault(pow_p, {})[pow_q] = c
-    return rows
 
 
 def _horner(rows, P, Q, acc, inner):
@@ -510,12 +505,12 @@ def row_strips(shape):
 def evaluate_grid(f, P, Q):
     """Vectorized evaluation on broadcastable arrays of p and q values.
 
-    Terms are grouped by exact exponent equality (exponent_groups); each
-    group costs one quadratic form, one exp and one overflow check, times a
-    2-D Horner evaluation of its polynomial factor.  The real and imaginary
+    Terms are grouped by exact exponent equality in one pass; each group
+    costs one quadratic form, one exp and one overflow check, times a 2-D
+    Horner evaluation of its polynomial factor.  The real and imaginary
     parts of the coefficients go through Horner separately, in real
-    arithmetic.  Groups are summed in the order their exponents first
-    appear in the canonical term list.
+    arithmetic, as sparse rows {pow_p: {pow_q: c}} that skip zeros.  Groups
+    are summed in the order their exponents first appear in the terms.
 
     The broadcast of P and Q is walked a strip of rows (axis 0) at a time,
     about symbols._STRIP_NODES nodes each (row_strips).  One set of
@@ -540,8 +535,15 @@ def evaluate_grid(f, P, Q):
     if Q.shape != shape:
         Q = np.broadcast_to(Q, shape)
     values = np.zeros(shape, dtype=np.complex128)
-    groups = [(e, _poly_rows(group, "real"), _poly_rows(group, "imag"))
-              for e, group in exponent_groups(f).items()]
+    groups = {}  # exponent -> (exponent, re rows, im rows)
+    for t in f.terms:
+        _, re, im = (groups.get(t.expo)
+                     or groups.setdefault(t.expo, (t.expo, {}, {})))
+        if t.coeff.real:
+            re.setdefault(t.pow_p, {})[t.pow_q] = t.coeff.real
+        if t.coeff.imag:
+            im.setdefault(t.pow_p, {})[t.pow_q] = t.coeff.imag
+    groups = list(groups.values())
     if not groups or not values.size:
         return values
     work = None

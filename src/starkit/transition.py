@@ -24,7 +24,7 @@ import numpy as np
 
 from . import symbols as sym
 from .errors import NonFiniteError, NonTerminatingError
-from .star import _coefficient_array, _group_image, _sum_images, star_product
+from .star import _group_image, _sum_images, star_product
 from .symbols import Params
 
 
@@ -84,8 +84,8 @@ def inverse(op):
 def _image(f, m):
     """[exp((1/2) grad^T C grad) f] o L; exact, one group at a time."""
     return _sum_images([
-        _group_image((_coefficient_array(P),), *e.quad_form(), m.C, m.L)
-        for e, P in sym.exponent_groups(f).items()])
+        _group_image((F,), *e.quad_form(), m.C, m.L)
+        for e, F in sym.exponent_groups(f).items()])
 
 
 def apply(op, f):

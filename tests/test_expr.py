@@ -146,13 +146,14 @@ def test_print_parse_round_trip_is_exact_on_wigner_24():
 
 
 def test_parse_normalizes_once_per_expression(monkeypatch):
-    """Numbers, i, p, q, one-term powers and products, and exp(...) skip
-    normalize; each expression (the text, each exp argument) sums once."""
+    """Numbers, i, p, q, one-term powers and products, and exp(...) take
+    normalize's one-term path; each expression (the text, each exp
+    argument) is summed by one grouped pass over more than one term."""
     rho = sk.sho_wigner_eigenstate(24)
     text = format_symbol(rho)
     calls = []
     normalize = sym.normalize
-    monkeypatch.setattr(sym, "normalize",
-                        lambda raw: calls.append(1) or normalize(raw))
+    monkeypatch.setattr(sym, "normalize", lambda raw: (
+        len(raw) > 1 and calls.append(1)) or normalize(raw))
     assert parse(text) == rho
     assert len(calls) == 1 + text.count("exp(") == 326

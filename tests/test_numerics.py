@@ -265,6 +265,31 @@ def test_step_schedule_rejects_bad_dt(dt):
         numerics.step_schedule(1.0, dt)
 
 
+@pytest.mark.parametrize("kind", ["classical", "bogus", "Damped", None])
+def test_rk4_and_cfl_reject_unknown_kinds(kind):
+    spec = sym.GridSpec(-2.0, 2.0, -2.0, 2.0, 11, 11)
+    g0 = numerics.sample(sk.sho_wigner_eigenstate(0), spec)
+    with pytest.raises(ValueError, match="'damped' or 'naive'"):
+        numerics.rk4_evolve(g0, kind, 0.1, 0.01)
+    with pytest.raises(ValueError, match="'damped' or 'naive'"):
+        numerics.cfl_ratio(spec, sym.Params(), 0.01, kind)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_non_finite_times_raise_typed(t):
+    spec = sym.GridSpec(-2.0, 2.0, -2.0, 2.0, 11, 11)
+    g0 = numerics.sample(sk.sho_wigner_eigenstate(0), spec)
+    with pytest.raises(NonFiniteError, match=f"t = {t} is not finite"):
+        numerics.step_schedule(t, 0.01)
+    with pytest.raises(NonFiniteError, match=f"t = {t} is not finite"):
+        numerics.rk4_evolve(g0, "damped", t, 0.01)
+    for params in (sym.Params(), sym.Params(gamma=0.3)):
+        with pytest.raises(NonFiniteError, match=f"t = {t} is not finite"):
+            sk.damped_propagator(t, params)
+    with pytest.raises(NonFiniteError):
+        sk.undamped_propagator(complex(0.5, t))
+
+
 def test_rk4_cfl_warning():
     par = sym.Params()
     spec = sym.GridSpec(-6.0, 6.0, -6.0, 6.0, 41, 41)

@@ -152,13 +152,16 @@ def _bits(f):
                                                    apq=0.25, bq=-0.0)])
 def test_single_term_skips_the_grouping_with_the_same_bits(coeff, expo):
     t = sym.Term(coeff, 2, 1, expo)
+    pruned = sym.Term(0.0, 0, 0)  # a second raw term forces the grouping
     for one, many in ((sym.scale(sym.Symbol((t,)), -1.0),
-                       sym.normalize([sym.Term(t.coeff * -1.0, 2, 1, expo)])),
+                       sym.normalize([sym.Term(t.coeff * -1.0, 2, 1, expo),
+                                      pruned])),
                       (sym.pointwise_multiply(sym.Symbol((t,)), sym.ONE),
                        sym.normalize([sym.Term(t.coeff * sym.ONE.terms[0].coeff,
-                                               2, 1, expo + sym.ZERO_EXPO)])),
+                                               2, 1, expo + sym.ZERO_EXPO),
+                                      pruned])),
                       (sym.monomial(coeff, 2, 1),
-                       sym.normalize([sym.Term(coeff, 2, 1)]))):
+                       sym.normalize([sym.Term(coeff, 2, 1), pruned]))):
         assert _bits(one) == _bits(many)
 
 
@@ -308,12 +311,68 @@ def test_exponent_groups_partition_the_terms(rng):
     f = sym.combine(random_symbol(rng, n_terms=4), 1.0,
                     sym.poly_symbol({(2, 1): 0.5, (0, 0): -1j}), 1.0)
     groups = sym.exponent_groups(f)
+    assert list(groups) == list(dict.fromkeys(t.expo for t in f.terms))
     assert sym.ZERO_EXPO in groups
-    assert sum(map(len, groups.values())) == len(f.terms)
-    rebuilt = sym.normalize([sym.Term(c, pow_p, pow_q, e)
-                             for e, poly in groups.items()
-                             for (pow_q, pow_p), c in poly.items()])
-    assert rebuilt == f
+    assert sum(map(np.count_nonzero, groups.values())) == len(f.terms)
+    for t in f.terms:
+        assert groups[t.expo][t.pow_q, t.pow_p] == t.coeff
+    for e, F in groups.items():
+        ts = [t for t in f.terms if t.expo == e]
+        assert F.dtype == np.complex128
+        assert F.shape == (max(t.pow_q for t in ts) + 1,
+                           max(t.pow_p for t in ts) + 1)
+
+
+def _members(rng):
+    yield from (random_symbol(rng, n_terms=n) for n in (1, 2, 4, 6))
+    yield sym.combine(random_symbol(rng, n_terms=3), 1.0,
+                      sym.poly_symbol({(2, 1): 0.5, (0, 3): -1j}), 1.0)
+    yield from (sk.sho_wigner_eigenstate(n) for n in (0, 1, 5, 24))
+    yield from (sk.sho_offdiagonal(n, nprime)
+                for n, nprime in ((1, 0), (0, 3), (4, 2), (6, 6)))
+    yield from sk.ladder_symbols()
+
+
+def test_array_symbol_inverts_exponent_groups(rng):
+    for f in _members(rng):
+        parts = [sym.array_symbol(F, e)
+                 for e, F in sym.exponent_groups(f).items()]
+        assert sum(parts, sym.ZERO) == f
+        # each part is its group's terms in canonical order
+        order = list(dict.fromkeys(t.expo for t in f.terms))
+        assert [t for part in parts for t in part.terms] == sorted(
+            f.terms, key=lambda t: order.index(t.expo))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sym.poly_symbol({(-1, 0): 1, (3, 0): 2}),
+    lambda: sym.poly_symbol({(0.5, 1): 1, (3, 0): 2}),
+    lambda: sym.monomial(1, 2.5, 0),
+    lambda: sym.monomial(1, 0, -1),
+    lambda: sym.monomial(1, 2.0, 0),
+    lambda: sym.normalize([sym.Term(1.0, 0, 1.5)]),
+    lambda: sym.normalize([sym.Term(1.0, "1", 0)]),
+    lambda: sym.normalize([sym.Term(1.0, 1, 0), sym.Term(1.0, -2, 0)]),
+    lambda: sym.normalize([sym.Term(1.0, 1, 0),
+                           sym.Term(1.0, 0, 0.5, sym.QuadExponent(app=-1))]),
+    lambda: sym.normalize([sym.Term(1.0, 1, 0), sym.Term(1.0, None, 0)]),
+], ids=["poly negative", "poly fraction", "monomial fraction",
+        "monomial negative", "monomial float", "one term fraction",
+        "one term string", "grouped negative", "grouped fraction",
+        "grouped None"])
+def test_powers_must_be_non_negative_integers(build):
+    with pytest.raises(ValueError, match="non-negative integers"):
+        build()
+
+
+def test_numpy_integer_powers_are_stored_as_python_ints():
+    two, three = np.int64(2), np.uint8(3)
+    for f in (sym.monomial(1.0, two, three),
+              sym.normalize([sym.Term(1.0, two, three),
+                             sym.Term(1.0, 2, 3), sym.Term(1.0, 0, three)])):
+        assert all(type(t.pow_p) is int and type(t.pow_q) is int
+                   for t in f.terms)
+    assert sym.monomial(1.0, two, three) == sym.monomial(1.0, 2, 3)
 
 
 def test_approx_equal():
