@@ -10,20 +10,16 @@
   Gaussian plus 20 damped steps at dt = 1e-3 on 201x201 and 401x401 and
   50 steps on 201x201 (one plane), and 20 `naive` steps on 201x201 (two
   planes).
-- `transition.apply` on the Wigner state n = 12 (damped gamma = 0.2 and
-  husimi s = 1) and on a two-group class member (damped gamma = 0.2),
-  `dynamics.pullback` along the damped flow at t = 1 of the Wigner state
-  and of a three-group class member (the group kernel once per group), and
-  `dynamics.evolve_naive` of the Wigner state at gamma = 0.2, t = 1.
-- `star_product` on a damped (gamma = 0.1) pair of pure Gaussians, on the
-  moyal rho_3 star rho_3 (the group formula in doubled phase space), and
-  on a pair of two-group Gaussian sums under each of the four products
-  (four group pairs).
 - The group kernel (`kernel_cases`, also timed against another revision
   by `ab_rows.py`): moyal rho_n star rho_n for n = 3, 6, 9, 12, damped
-  (0.3) rho_9 star rho_9, damped-flow pullbacks of rho_12, rho_24 and the
-  three-group member, the transition images and naive flow above, the
-  small-group products above, and poly6 star poly6 under each product.
+  (0.3) rho_9 star rho_9, pullbacks along the damped flow (gamma = 0.2,
+  t = 1) of rho_12, rho_24 and a three-group class member (the kernel
+  once per group), `transition.apply` on rho_12 (damped gamma = 0.2 and
+  husimi s = 1) and on a two-group class member (damped 0.2),
+  `dynamics.evolve_naive` of rho_12 at gamma = 0.2, t = 1, `star_product`
+  on a damped (0.1) pair of pure Gaussians and on a pair of two-group
+  Gaussian sums under each of the four products (four group pairs), and
+  poly6 star poly6 under each product.
 - The series path (`series_cases`, also timed against another revision
   by `ab_rows.py`): poly6 star poly6 and poly4 star a
   two-term class member (seeded `verify` draws) under each of the four
@@ -31,10 +27,12 @@
   -0.1i H under the damped product to order 12, and under the moyal and
   damped products to order 20 (the `propagator` suite's two star
   exponentials), `transition.check_equivalence` on the 100 seeded
-  polynomial pairs of the `equivalence` suite (damped 0.1 setup), and the
+  polynomial pairs of the `equivalence` suite (damped 0.1 setup), the
   husimi `star_series_oracle` of the class member and a Gaussian at
   N = 12 on the 9x9 sample lattice (its divergence warning silenced:
-  N = 12 is a timing input).
+  N = 12 is a timing input), `evolve_eigenexpansion` over the 25 entries
+  rho_{n,n'}, n, n' < 5, at t = 0.7, the damped (0.1) `bracket` of rho_6
+  with H, and `damped_rhs` (gamma = 0.1) of the two-group member.
 - `normalize` on the terms of the Wigner state n = 24 repeated three
   times (975 raw terms, one exponent), `parse` of its printed form, and
   1000 calls each of the one-term constructors `const`, `monomial` and
@@ -85,7 +83,7 @@ import warnings
 import numpy as np
 
 import starkit as sk
-from starkit import dynamics, numerics, oscillator, transition
+from starkit import numerics, oscillator
 from starkit import symbols as sym
 from starkit.cli import main
 from starkit.errors import DivergenceWarning
@@ -175,51 +173,6 @@ def gaussian_sum(a, b, pkg=sk):
                        pkg.gaussian(0.5j, app=-b, aqq=-a, apq=0.1), 1.0)
 
 
-def bench_maps(n=12):
-    state = sk.sho_wigner_eigenstate(n)
-    params = sym.Params(gamma=0.2)
-    damped = transition.damped_transition(0.2)
-    print(f"symbolic maps: Wigner n={n}, {len(state.terms)} terms")
-    for label, op in (("apply damped(0.2)", damped),
-                      ("apply husimi(1.0)", transition.husimi_transition(1.0))):
-        med, best, _ = timeit(lambda: transition.apply(op, state), 7)
-        report(label, med, best)
-    member = two_group_member()
-    med, best, _ = timeit(lambda: transition.apply(damped, member), 7)
-    report(f"apply damped(0.2), two-group member ({len(member.terms)} terms)",
-           med, best)
-    flow = dynamics.flow_map(1.0, params)
-    med, best, _ = timeit(lambda: dynamics.pullback(state, flow), 7)
-    report("pullback t=1", med, best)
-    member = three_group_member()
-    med, best, _ = timeit(lambda: dynamics.pullback(member, flow), 7)
-    report(f"pullback t=1, three-group member ({len(member.terms)} terms)",
-           med, best)
-    med, best, _ = timeit(lambda: dynamics.evolve_naive(state, 1.0, params), 7)
-    report("evolve_naive gamma=0.2, t=1", med, best)
-
-
-def bench_products():
-    damped = sk.damped_star(0.1)
-    moyal = sk.moyal_star()
-    f = sym.gaussian(1.0 + 0.3j, app=-0.4, aqq=-0.3, apq=0.1, bp=0.15)
-    g = sym.gaussian(0.8, app=-0.35, aqq=-0.5, bq=-0.2j)
-    rho3 = sk.sho_wigner_eigenstate(3)
-    f2, g2 = gaussian_sum(0.5, 0.4), gaussian_sum(0.3, 0.6)
-    print("star_product")
-    for label, args in (
-            ("damped(0.1), Gaussian pair", (f, g, damped)),
-            ("moyal, rho_3 * rho_3", (rho3, rho3, moyal)),
-            ("moyal, two-group Gaussian sums", (f2, g2, moyal)),
-            ("damped(0.1), two-group Gaussian sums", (f2, g2, damped)),
-            ("standard, two-group Gaussian sums",
-             (f2, g2, sk.standard_star())),
-            ("husimi(1.0), two-group Gaussian sums",
-             (f2, g2, sk.husimi_star(1.0)))):
-        med, best, _ = timeit(lambda: sk.star_product(*args), 7)
-        report(label, med, best)
-
-
 SERIES_SEED = 22
 ONE_TERM_CALLS = 1000  # calls of each one-term constructor per sample
 
@@ -251,6 +204,9 @@ def series_cases(pkg):
     params = pkg.Params(gamma=0.1)
     setup = (pkg.moyal_star(params), pkg.damped_star(0.1, params),
              pkg.damped_transition(0.1, params))
+    expansion = {(n, nprime): complex(1.0 / (1 + n), 0.1 * nprime)
+                 for n in range(5) for nprime in range(5)}
+    two = two_group_member(pkg)
     return rows + [
         ("damped, H * rho_6", lambda: pkg.star_product(H, rho6, damped)),
         ("damped, rho_6 * H", lambda: pkg.star_product(rho6, H, damped)),
@@ -264,16 +220,18 @@ def series_cases(pkg):
          lambda: [pkg.check_equivalence(f, g, *setup) for f, g in pairs]),
         ("husimi oracle, member * Gaussian, N = 12",
          lambda: pkg.star_series_oracle(member, gauss, pkg.husimi_star(1.0),
-                                        12, spec))]
+                                        12, spec)),
+        ("evolve_eigenexpansion, 25 entries, t = 0.7",
+         lambda: pkg.evolve_eigenexpansion(expansion, 0.7)),
+        ("damped bracket {rho_6, H}_0.1",
+         lambda: pkg.bracket(rho6, H, 0.1, params)),
+        ("damped_rhs of the two-group member, gamma = 0.1",
+         lambda: pkg.damped_rhs(two, params))]
 
 
 def kernel_cases(pkg):
     """(label, call) rows of the group kernel, built from the package pkg
-    (as series_cases): moyal rho_n star rho_n for n = 3, 6, 9, 12 and
-    damped (0.3) rho_9 star rho_9; damped-flow pullbacks (gamma = 0.2,
-    t = 1) of rho_12 and rho_24; the rows of bench_maps and the other
-    rows of bench_products; and the poly6 star poly6 rows of
-    series_cases."""
+    (as series_cases): the group-kernel rows of the module docstring."""
     dyn = importlib.import_module(pkg.__name__ + ".dynamics")
     draw = importlib.import_module(pkg.__name__ + ".verify")
     rho = {n: pkg.sho_wigner_eigenstate(n) for n in (3, 6, 9, 12, 24)}
@@ -548,9 +506,8 @@ def bench_readme_scenario():
 
 
 BENCHES = {"eval": bench_eval, "rk4": bench_rk4, "rk4_ops": bench_rk4_ops,
-           "maps": bench_maps, "products": bench_products,
-           "kernel": bench_kernel,
-           "series": bench_series, "algebra": bench_algebra,
+           "kernel": bench_kernel, "series": bench_series,
+           "algebra": bench_algebra,
            "grid_eval": bench_grid_eval, "grid_io": bench_grid_io,
            "cold": bench_cold, "readme": bench_readme_scenario}
 

@@ -10,7 +10,7 @@ initial symbol composed with the backward classical flow.  The rejected
 (naive) commutator equation is kept as a falsification exhibit: its extra
 term i gamma hbar d_p d_q rho breaks reality for gamma > 0.  Both exact
 solutions are transition.GaussianMap values and go through
-transition._image, one exponent group at a time: the corrected one is the
+transition.apply, one exponent group at a time: the corrected one is the
 pullback along the backward damped flow, flow_map(-t) = (0, L(-t)), the
 naive one the composition of a derivative exponential (C(t), I) with the
 undamped flow, applied in one pass.
@@ -27,7 +27,7 @@ from .errors import ExponentOverflowError, NonFiniteError, PositivityError
 from .oscillator import energy, hamiltonian, sho_offdiagonal
 from .star import damped_ad, damped_star, star_commutator
 from .symbols import Params
-from .transition import GaussianMap, _image, compose
+from .transition import GaussianMap, apply, compose
 
 
 def flow_map(t, params=Params()):
@@ -64,7 +64,7 @@ def flow_map(t, params=Params()):
 
 def pullback(rho, flow):
     """Substitute the linear map into the symbol: (rho o L)(x) = rho(L x)."""
-    return _image(rho, flow)
+    return apply(flow, rho)
 
 
 def evolve_classical(rho0, t, params=Params()):
@@ -90,7 +90,7 @@ def naive_map(t, params=Params()):
 
 def evolve_naive(rho0, t, params=Params()):
     """Exact solution of the rejected equation: the naive_map image of rho0."""
-    return _image(rho0, naive_map(t, params))
+    return apply(naive_map(t, params), rho0)
 
 
 def damped_rhs(rho, params=Params()):
@@ -145,10 +145,10 @@ def evolve_damped_ansatz(entries, t, params=Params()):
     imaginary parts (decay rates) must be non-negative; each mode's modulus
     then decays like exp(-(Im E + Im E') t / hbar).
     """
-    out = sym.ZERO
+    pairs = []
     for amp, ev, ev_prime, state in entries:
         if ev.imag < 0 or ev_prime.imag < 0:
             raise PositivityError("eigenvalue decay rates must be non-negative")
         phase = cmath.exp(-1j * (ev.conjugate() - ev_prime) * t / params.hbar)
-        out = sym.combine(out, 1.0, state, amp * phase)
-    return out
+        pairs += (state, amp * phase)
+    return sym.combine(*pairs)

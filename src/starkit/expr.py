@@ -68,19 +68,18 @@ class _Parser:
         return out
 
     def _expr(self):
-        """Signed terms, summed by one normalize."""
-        raw = []
+        """Signed terms, summed by one combine."""
+        pairs = []
         kind = self.peek()[0]
         while True:
             sign = 1.0
             if kind in ("+", "-"):
                 self.next()
                 sign = -1.0 if kind == "-" else 1.0
-            raw += [sym.Term(t.coeff * sign, t.pow_p, t.pow_q, t.expo)
-                    for t in self._term().terms]
+            pairs += (self._term(), sign)
             kind = self.peek()[0]
             if kind not in ("+", "-"):
-                return sym.normalize(raw)
+                return sym.combine(*pairs)
 
     def _term(self):
         out = self._factor()

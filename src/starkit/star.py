@@ -20,6 +20,9 @@ Products are exact on the whole class, by one of two routes:
   too, with d = 2), applies it per pair of exponent groups to one dense
   coefficient array: Taylor factors, a shift, y = K^{-1} E x and the
   product's monomials placed.  Two polynomials are its M = 0 case.
+
+Each linear combination (the series sum, a bracket, a star exponential's
+partial sum) is one symbols.combine: one normalize over every scaled term.
 """
 
 import cmath
@@ -83,12 +86,10 @@ def bracket(f, g, gamma, params=Params()):
     fp = sym.differentiate(f, "p")
     gq = sym.differentiate(g, "q")
     gp = sym.differentiate(g, "p")
-    out = sym.combine(sym.pointwise_multiply(fq, gp), 1.0,
-                      sym.pointwise_multiply(fp, gq), -1.0)
-    if gamma != 0:
-        out = sym.combine(out, 1.0, sym.pointwise_multiply(fp, gp),
-                          -2.0 * gamma * params.m)
-    return out
+    damping = ((sym.pointwise_multiply(fp, gp), -2.0 * gamma * params.m)
+               if gamma != 0 else ())
+    return sym.combine(sym.pointwise_multiply(fq, gp), 1.0,
+                       sym.pointwise_multiply(fp, gq), -1.0, *damping)
 
 
 def _series_orders(f, g, B, n_max):
@@ -131,13 +132,11 @@ def _series_orders(f, g, B, n_max):
 
 def _series_star(f, g, B, n_max):
     """Exact finite series sum_{n<=n_max} (1/n!) (f dL^T B dR)^n g."""
-    raw = []
+    pairs = []
     for order in _series_orders(f, g, B, n_max):
         for c, left, right in order:
-            prod = sym.pointwise_multiply(left, right)
-            raw.extend(Term(t.coeff * c, t.pow_p, t.pow_q, t.expo)
-                       for t in prod.terms)
-    return sym.normalize(raw)
+            pairs += (sym.pointwise_multiply(left, right), c)
+    return sym.combine(*pairs)
 
 
 def _exp_factor(T, w, i, j):
@@ -323,18 +322,20 @@ def star_exp_truncated(f, star, N):
     """Truncated star exponential sum_{n<=N} f^{*n} / n!.
 
     Only defined for polynomial f (every star power is then exact); used
-    as a small-time oracle against the closed-form propagators.
+    as a small-time oracle against the closed-form propagators.  Each term
+    is the last one star f, scaled by 1/n; the N + 1 terms are summed by
+    one combine at the end.
     """
     if not f.is_polynomial():
         raise NonTerminatingError("star exponential needs a polynomial argument")
     if not isinstance(N, (int, np.integer)) or N < 0:
         raise ValueError("truncation order must be a non-negative integer")
-    acc = sym.ONE
     power = sym.ONE
+    pairs = [power, 1.0]
     for n in range(1, N + 1):
         power = sym.scale(star_product(power, f, star), 1.0 / n)
-        acc = sym.combine(acc, 1.0, power, 1.0)
-    return acc
+        pairs += (power, 1.0)
+    return sym.combine(*pairs)
 
 
 def hw_phase(a, b, c, d, gamma, params=Params()):

@@ -213,8 +213,9 @@ def normalize(raw):
     independent of the order the terms arrive in; a lone coefficient c
     becomes 0 + c, its zero parts +0.0); zero coefficients are pruned;
     ordering is by descending (total degree, pow_p, pow_q) then
-    lexicographic exponent.  Each distinct exponent and monomial is checked
-    once.  One term skips the grouping, with the same checks and bits.
+    lexicographic exponent.  Each distinct exponent is checked once, each
+    term's power types, and the signs once per distinct monomial.  One
+    term skips the grouping, with the same checks and bits.
     """
     if len(raw) == 1:
         t = raw[0]
@@ -228,16 +229,21 @@ def normalize(raw):
     reps = []
     rep_of = {}  # exponent -> index of its representative in reps
     buckets = {}
+    expo = None
     for t in raw:
         c = _check_finite(complex(t.coeff))
-        idx = rep_of.get(t.expo)
-        if idx is None:
-            idx = rep_of[t.expo] = _representative(t.expo, reps)
-        buckets.setdefault((t.pow_p, t.pow_q, idx), []).append(c)
-    if not all(type(pp) is type(pq) is int and pp >= 0 and pq >= 0
-               for pp, pq, _ in buckets):  # once per distinct monomial
-        buckets = {(_power(pp), _power(pq), idx): cs
-                   for (pp, pq, idx), cs in buckets.items()}
+        if t.expo is not expo:  # runs of one exponent object hash it once
+            expo = t.expo
+            idx = rep_of.get(expo)
+            if idx is None:
+                idx = rep_of[expo] = _representative(expo, reps)
+        pp, pq = t.pow_p, t.pow_q
+        if type(pp) is not int or type(pq) is not int:  # 2.0 equals 2
+            pp, pq = _power(pp), _power(pq)
+        buckets.setdefault((pp, pq, idx), []).append(c)
+    low = min((min(pp, pq) for pp, pq, _ in buckets), default=0)
+    if low < 0:  # the powers are ints here: once per distinct monomial
+        _power(low)  # raises ValueError
     expos = [QuadExponent(*r) for r in reps]  # one shared object per group
     keys = [tuple(x for e in r for x in (e.real, e.imag)) for r in reps]
     out = []
@@ -310,15 +316,18 @@ def gaussian(coeff, app=0j, aqq=0j, apq=0j, bp=0j, bq=0j):
 
 
 def scale(f, a):
+    return combine(f, a)
+
+
+def combine(*pairs):
+    """a*f + b*g + ... of the (symbol, scalar) pairs f, a, g, b, ...: the
+    one linear combination, every scaled term in one normalize; linear in
+    each symbol, and the zero symbol of no pair."""
+    if len(pairs) % 2:
+        raise TypeError("combine takes (symbol, scalar) pairs")
+    it = iter(pairs)
     return normalize([Term(t.coeff * a, t.pow_p, t.pow_q, t.expo)
-                      for t in f.terms])
-
-
-def combine(f, a, g, b):
-    """normalize(a*f + b*g); linear in both arguments."""
-    raw = [Term(t.coeff * a, t.pow_p, t.pow_q, t.expo) for t in f.terms]
-    raw += [Term(t.coeff * b, t.pow_p, t.pow_q, t.expo) for t in g.terms]
-    return normalize(raw)
+                      for f, a in zip(it, it) for t in f.terms])
 
 
 def pointwise_multiply(f, g):
@@ -368,7 +377,7 @@ def _diff_term_once(t, var):
             out.append(Term(t.coeff * e.apq, t.pow_p, t.pow_q + 1, e))
         if e.bp != 0:
             out.append(Term(t.coeff * e.bp, t.pow_p, t.pow_q, e))
-    elif var == "q":
+    else:  # "q"; differentiate checks var
         if t.pow_q > 0:
             out.append(Term(t.coeff * t.pow_q, t.pow_p, t.pow_q - 1, e))
         if e.aqq != 0:
@@ -377,8 +386,6 @@ def _diff_term_once(t, var):
             out.append(Term(t.coeff * e.apq, t.pow_p + 1, t.pow_q, e))
         if e.bq != 0:
             out.append(Term(t.coeff * e.bq, t.pow_p, t.pow_q, e))
-    else:
-        raise ValueError("var must be 'p' or 'q'")
     return out
 
 

@@ -11,7 +11,7 @@ symmetric 2x2 complex matrix over (d_q, d_p) and L a 2x2 matrix on column
 
 and the flows of dynamics are (0, L).  As exp((1/2) grad^T C grad)(h o L)
 = (exp((1/2) grad^T L C L^T grad) h) o L, maps compose and invert in
-closed form.  _image applies a map exactly, one exponent group
+closed form.  apply maps a symbol exactly, one exponent group
 P(x) exp(x^T A x + beta^T x), x = (q, p), at a time, through
 star._group_image with d = 2, S = C and E = L, on P's coefficient array:
 the Taylor series of exp((1/2) grad^T R grad), R = K^{-1} C, K = I - 2CA,
@@ -81,16 +81,12 @@ def inverse(op):
     return GaussianMap(-(Linv @ op.C @ Linv.T), Linv)
 
 
-def _image(f, m):
-    """[exp((1/2) grad^T C grad) f] o L; exact, one group at a time."""
-    return _sum_images([
-        _group_image((F,), *e.quad_form(), m.C, m.L)
-        for e, F in sym.exponent_groups(f).items()])
-
-
 def apply(op, f):
-    """Image of a symbol under a map (a transition operator or any other)."""
-    return _image(f, op)
+    """Image [exp((1/2) grad^T C grad) f] o L of a symbol under a map (a
+    transition operator or any other); exact, one group at a time."""
+    return _sum_images([
+        _group_image((F,), *e.quad_form(), op.C, op.L)
+        for e, F in sym.exponent_groups(f).items()])
 
 
 def check_equivalence(f, g, source, target, op):

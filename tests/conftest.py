@@ -11,6 +11,16 @@ def rng():
     return np.random.default_rng(987654321)
 
 
+@pytest.fixture
+def normalize_calls(monkeypatch):
+    """A list that gains the raw term count of every symbols.normalize call."""
+    calls = []
+    normalize = sym.normalize
+    monkeypatch.setattr(sym, "normalize",
+                        lambda raw: calls.append(len(raw)) or normalize(raw))
+    return calls
+
+
 def random_symbol(rng, n_terms=2, real=False):
     """Random member of the polynomial x Gaussian class, decaying at infinity."""
     raw = []

@@ -10,7 +10,15 @@ miss equals the closed-form geometric tail to 1e-12, and over the lattice
 it stays within the tail bound.
 """
 
+import pytest
+
 from starkit import verify
+
+
+@pytest.mark.parametrize("t", [0.3 + 0.1j, 0.3])
+def test_spectral_tail_bound_needs_negative_imaginary_time(t):
+    with pytest.raises(ValueError, match="converges only for Im t < 0"):
+        verify.spectral_tail_bound(5, t)
 
 
 def _report(rows):

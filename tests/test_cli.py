@@ -37,6 +37,14 @@ def test_star_damped(capsys):
     assert out.strip() == "p^2 - 0.1*i"
 
 
+@pytest.mark.parametrize("product, printed", [
+    ("standard", "q*p + i"), ("husimi", "q*p + 0.5*i")])
+def test_star_prints_the_product(capsys, product, printed):
+    code, out, _ = run(capsys, "star", "q", "p", "--product", product)
+    assert code == 0
+    assert out.strip() == printed
+
+
 def test_star_gaussian_pair_closed_form(capsys):
     # two pure Gaussians go through the group formula
     code, out, _ = run(capsys, "star", "exp(-q^2)", "exp(-p^2)",
@@ -577,6 +585,13 @@ EXIT_CASES = {
         "grid", "q", "--grid=-6,inf,-6,6,5,5", "--out", str(tmp / "g.csv")]),
     "flow overflow": (4, "overflows", lambda tmp, mp: _scenario_argv(
         tmp, {"initial": "q", "params": {"gamma": 0.1}, "times": [1e4]})),
+    "grid flag of five fields": (
+        2, "--grid expects qmin,qmax,pmin,pmax,nq,np", lambda tmp, mp: [
+            "star", "q", "p", "--grid=-1,1,-1,1,5", "--out",
+            str(tmp / "g.csv")]),
+    "unknown evolution": (2, "unknown evolution 'quantum'",
+                          lambda tmp, mp: _scenario_argv(
+        tmp, {"initial": "q", "evolution": "quantum"})),
 }
 
 

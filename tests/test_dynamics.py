@@ -430,6 +430,22 @@ def test_damped_ansatz_superposition_decay():
     assert sym.residual(out, expected) <= 1e-12
 
 
+def test_damped_ansatz_sums_its_entries_in_one_pass(normalize_calls):
+    par = sym.Params(gamma=0.1)
+    entries = [(0.3 + 0.1j * n, sk.oscillator.damped_energy(n, par),
+                sk.oscillator.damped_energy(n + 1, par), sk.sho_offdiagonal(n, n + 1))
+               for n in range(5)]
+    normalize_calls.clear()
+    out = dynamics.evolve_damped_ansatz(entries, 0.7, par)
+    assert len(normalize_calls) == 1
+    expected = sym.ZERO
+    for amp, ev, evp, state in entries:
+        factor = amp * cmath.exp(-1j * (ev.conjugate() - evp) * 0.7)
+        expected = sym.combine(expected, 1.0, state, factor)
+    assert sym.residual(out, expected) <= 1e-14
+    assert dynamics.evolve_damped_ansatz([], 0.7, par) == sym.ZERO
+
+
 def test_damped_ansatz_rejects_negative_decay():
     state = sym.gaussian(1.0, app=-1.0, aqq=-1.0)
     with pytest.raises(PositivityError):

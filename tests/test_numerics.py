@@ -29,6 +29,17 @@ def test_sample_basics():
     assert np.allclose(g.values[0, :], [-1, 0, 1])
 
 
+@pytest.mark.parametrize("values, message", [
+    (np.zeros((3, 4)), "values shape does not match spec"),
+    (np.zeros((4, 3)), "values shape does not match spec"),
+    (np.full((3, 3), np.nan), "grid values must be finite"),
+], ids=["3x4", "4x3", "NaN"])
+def test_phase_grid_rejects_bad_values(values, message):
+    spec = sym.GridSpec(-1.0, 1.0, -1.0, 1.0, 3, 3)
+    with pytest.raises(ValueError, match=message):
+        numerics.PhaseGrid(spec, values)
+
+
 def test_ground_state_normalization():
     par = sym.Params()
     rho0 = sk.sho_wigner_eigenstate(0, par)
@@ -632,6 +643,7 @@ _GOOD_JSON = _edited()
 # Malformed JSON grids: each raises a ValueError that names the file.
 _BAD_JSON = {
     "3-element pair": _edited({5: [1.0, 0.0, 2.0]}),
+    "every pair 3 numbers": _edited({k: [1.0, 0.0, 2.0] for k in range(20)}),
     "nested pair": _edited({5: [[1.0, 0.0]]}),
     "nested entry": _edited({5: [1.0, [0.0]]}),
     "trailing comma": _GOOD_JSON[:-2] + ",]}",

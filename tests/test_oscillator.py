@@ -78,6 +78,16 @@ def test_value_recurrence_matches_symbols():
         assert np.abs(W[n] - direct).max() < 1e-10
 
 
+@pytest.mark.parametrize("n_max", [0, 1])
+def test_value_recurrence_before_its_loop(n_max):
+    P, Q = sym.SAMPLE_SPEC.meshes()
+    W = sk.sho_wigner_values(n_max, P, Q)
+    assert W.shape == (n_max + 1,) + P.shape
+    for n in range(n_max + 1):
+        direct = sym.evaluate_grid(sk.sho_wigner_eigenstate(n), P, Q)
+        assert np.abs(W[n] - direct).max() < 1e-12
+
+
 def test_ladder_algebra():
     par = sym.Params(m=1.4, omega=0.9, hbar=1.1)
     a, abar = sk.ladder_symbols(par)
@@ -188,6 +198,12 @@ def test_offdiagonal_is_conjugate_under_swap():
 def test_offdiagonal_degree_guard():
     with pytest.raises(DegreeGuardError):
         sk.sho_offdiagonal(7, 6)
+
+
+@pytest.mark.parametrize("n, nprime", [(-1, 0), (0, -1), (-2, 3)])
+def test_offdiagonal_rejects_negative_indices(n, nprime):
+    with pytest.raises(ValueError, match="indices must be non-negative"):
+        sk.sho_offdiagonal(n, nprime)
 
 
 def test_undamped_propagator():

@@ -116,6 +116,37 @@ def test_star_exp_of_zero():
                         sym.ONE) == 0
 
 
+@pytest.mark.parametrize("N", [0, 1, 12])
+@pytest.mark.parametrize("star", [sk.moyal_star(), sk.damped_star(0.1)],
+                         ids=["moyal", "damped"])
+def test_star_exp_normalizes_each_power_and_the_sum_once(star, N,
+                                                         normalize_calls):
+    f = sym.scale(sk.hamiltonian(), -0.1j)
+    normalize_calls.clear()
+    series = sk.star_exp_truncated(f, star, N)
+    # the 1/n scale of each star power, then one pass over the N + 1 terms
+    assert len(normalize_calls) == N + 1
+    assert (series == sym.ONE) == (N == 0)
+
+
+@pytest.mark.parametrize("gamma, passes", [(0.0, 7), (0.3, 8)])
+def test_bracket_sums_its_products_in_one_pass(gamma, passes, rng,
+                                               normalize_calls):
+    f, g = random_symbol(rng), random_polynomial(rng)
+    want = sym.combine(
+        sym.pointwise_multiply(sym.differentiate(f, "q"),
+                               sym.differentiate(g, "p")), 1.0,
+        sym.pointwise_multiply(sym.differentiate(f, "p"),
+                               sym.differentiate(g, "q")), -1.0,
+        sym.pointwise_multiply(sym.differentiate(f, "p"),
+                               sym.differentiate(g, "p")), -2.0 * gamma)
+    normalize_calls.clear()
+    got = sk.bracket(f, g, gamma, sym.Params(gamma=gamma))
+    # four derivatives and two or three products, then one sum
+    assert len(normalize_calls) == passes
+    assert repr(got) == repr(want)
+
+
 def test_star_exp_requires_polynomial():
     with pytest.raises(NonTerminatingError):
         sk.star_exp_truncated(sym.gaussian(1.0, app=-1.0), sk.moyal_star(), 3)

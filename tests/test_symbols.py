@@ -108,6 +108,19 @@ def test_combine_doubles():
                    - 2 * sym.evaluate(rho, p, q)) < 1e-14
 
 
+def test_combine_takes_any_number_of_pairs(rng):
+    f, g, h = (random_symbol(rng) for _ in range(3))
+    assert sym.combine() == sym.ZERO
+    assert repr(sym.combine(f, 0.5j)) == repr(sym.scale(f, 0.5j))
+    # one pass over the scaled terms of every pair
+    raw = [sym.Term(t.coeff * a, t.pow_p, t.pow_q, t.expo)
+           for x, a in ((f, 2.0), (g, -1j), (h, 0.25)) for t in x.terms]
+    assert repr(sym.combine(f, 2.0, g, -1j, h, 0.25)) == repr(
+        sym.normalize(raw))
+    with pytest.raises(TypeError, match="pairs"):
+        sym.combine(f, 1.0, g)
+
+
 def test_pointwise_multiply():
     q = sym.variable("q")
     p = sym.variable("p")
@@ -365,6 +378,16 @@ def test_powers_must_be_non_negative_integers(build):
         build()
 
 
+@pytest.mark.parametrize("first, second", [(2, 2.0), (2.0, 2),
+                                           (np.int64(2), 2.0)],
+                         ids=["int then float", "float then int",
+                              "numpy int then float"])
+def test_power_check_is_independent_of_arrival_order(first, second):
+    raw = [sym.Term(1.0, first, 0), sym.Term(1.0, second, 0)]
+    with pytest.raises(ValueError, match="non-negative integers, not 2.0"):
+        sym.normalize(raw)
+
+
 def test_numpy_integer_powers_are_stored_as_python_ints():
     two, three = np.int64(2), np.uint8(3)
     for f in (sym.monomial(1.0, two, three),
@@ -373,6 +396,18 @@ def test_numpy_integer_powers_are_stored_as_python_ints():
         assert all(type(t.pow_p) is int and type(t.pow_q) is int
                    for t in f.terms)
     assert sym.monomial(1.0, two, three) == sym.monomial(1.0, 2, 3)
+    # a numpy power arriving after an int one merges into its bucket
+    (t,) = sym.normalize([sym.Term(1.0, 2, 0), sym.Term(1.0, two, 0)]).terms
+    assert (t.coeff, type(t.pow_p), t.pow_p) == (2.0, int, 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sym.variable("x"), "variable must be 'p' or 'q'"),
+    (lambda: sym.approx_equal(sym.ONE, sym.ONE, 0), "tol must be positive"),
+], ids=["variable x", "approx_equal tol 0"])
+def test_bad_arguments_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_approx_equal():

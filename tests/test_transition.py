@@ -359,6 +359,13 @@ def test_non_finite_map_raises(make):
         make()
 
 
+@pytest.mark.parametrize("s", [0.0, -1.0])
+def test_husimi_transition_needs_positive_squeezing(s):
+    with pytest.raises(ValueError, match="squeezing parameter s must be "
+                                         "positive"):
+        transition.husimi_transition(s)
+
+
 def _taylor_series(f, C):
     """sum_k (D^k f) / k! with D = (1/2) grad^T C grad, by symbolic
     derivatives; the series ends as D lowers the degree by 2."""
