@@ -7,6 +7,7 @@ advection with 4th-order stencils, Gauss-Legendre quadrature for overlap
 and smoothing integrals, and deterministic CSV/JSON grid export.
 """
 
+import io
 import json
 import math
 import re
@@ -34,14 +35,14 @@ _SERIES_TAIL_TOL = 1e-8
 # empty array or of its last pair, and a pair end before a comma (a chunk
 # boundary).  Strings, objects, booleans, null, NaN and Infinity start with
 # one of _NOT_NUMBERS, which no array of number pairs holds.
-_JSON_SPACE = (" ", "\t", "\n", "\r")
-_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|[\[\]{}]')
-_ARRAY_VALUE = re.compile(r"[ \t\n\r]*:[ \t\n\r]*\[")
-_EMPTY_ARRAY = re.compile(r"\[[ \t\n\r]*\]")
-_LAST_PAIR_END = re.compile(r"\][ \t\n\r]*\]")
-_PAIR_END = re.compile(r"\][ \t\n\r]*,")
-_NOT_NUMBERS = '"{tfnNI'
-_JSON_CHUNK = 1 << 16  # characters of pairs per json.loads
+_JSON_SPACE = (b" ", b"\t", b"\n", b"\r")
+_JSON_TOKEN = re.compile(rb'"(?:[^"\\]|\\.)*"|[\[\]{}]')
+_ARRAY_VALUE = re.compile(rb"[ \t\n\r]*:[ \t\n\r]*\[")
+_EMPTY_ARRAY = re.compile(rb"\[[ \t\n\r]*\]")
+_LAST_PAIR_END = re.compile(rb"\][ \t\n\r]*\]")
+_PAIR_END = re.compile(rb"\][ \t\n\r]*,")
+_NOT_NUMBERS = b'"{tfnNI'
+_JSON_CHUNK = 1 << 16  # bytes of pairs per json.loads
 
 
 @dataclass(frozen=True)
@@ -362,17 +363,17 @@ def export_grid(grid, fmt, destination):
 
 
 def _values_span(text):
-    """(start, stop) of the text of the top-level "values" array of the
+    """(start, stop) of the bytes of the top-level "values" array of the
     JSON text, brackets included, or None if there is none (the array is
     located, not parsed: it ends at its first "]]" or is empty)."""
     depth = 0
     for tok in _JSON_TOKEN.finditer(text):
         s = tok.group()
-        if s in ("{", "["):
+        if s in (b"{", b"["):
             depth += 1
-        elif s in ("}", "]"):
+        elif s in (b"}", b"]"):
             depth -= 1
-        elif depth == 1 and s == '"values"':
+        elif depth == 1 and s == b'"values"':
             key = _ARRAY_VALUE.match(text, tok.end())
             if key:
                 end = (_EMPTY_ARRAY.match(text, key.end() - 1)
@@ -384,25 +385,28 @@ def _values_span(text):
 def _pair_chunks(text, start, stop):
     """JSON arrays of consecutive runs of the pairs of the array
     text[start:stop], each cut after the first pair that ends at least
-    _JSON_CHUNK characters on; none for an empty array."""
+    _JSON_CHUNK bytes on; none for an empty array."""
     if _EMPTY_ARRAY.match(text, start):
         return
     i = start  # the array's "[", then the comma before the next run
     while cut := _PAIR_END.search(text, i + _JSON_CHUNK, stop):
-        yield "[" + text[i + 1:cut.start() + 1] + "]"
+        yield b"[" + text[i + 1:cut.start() + 1] + b"]"
         i = cut.end() - 1
-    yield "[" + text[i + 1:stop]
+    yield b"[" + text[i + 1:stop]
 
 
 def _json_grid(text, path):
-    """(spec, (nq*np, 2) float64 (re, im) pairs) of a JSON grid text."""
+    """(spec, (nq*np, 2) float64 (re, im) pairs) of the ASCII bytes of a
+    JSON grid."""
+    if not text.isascii():
+        raise ValueError(f"{path}: not an ASCII grid file")
     bad = f"{path}: values must be an array of [re, im] number pairs"
     span = _values_span(text)
     if span is None or any(text.find(c, *span) >= 0 for c in _NOT_NUMBERS):
         raise ValueError(bad)
     start, stop = span
     try:
-        doc = json.loads(text[:start] + "null" + text[stop:])
+        doc = json.loads(text[:start] + b"null" + text[stop:])
     except json.JSONDecodeError as exc:
         at = exc.pos if exc.pos < start else exc.pos - 4 + stop - start
         raise ValueError(f"{path}: not a JSON grid: {exc.msg} at character "
@@ -467,29 +471,30 @@ def _csv_grid(fh, path):
 def load_grid(path):
     """Read back a grid written by export_grid.
 
-    The first non-whitespace character sniffs the format: "{" starts a
-    JSON grid, anything else a CSV one.  A CSV body is parsed from the
+    The first non-whitespace byte sniffs the format: "{" starts a JSON
+    grid, anything else a CSV one.  A CSV body is parsed from the
     open file by np.loadtxt: every line after the header must hold the 4
     float fields q,p,re,im ('#' starts no comment), and an empty body is
     an error.  A JSON grid is an object with a "spec" object of GridSpec's
     fields and a "values" array of nq*np [re, im] pairs of JSON numbers
     (no strings, booleans, nulls or NaN), in any key order, with any JSON
-    whitespace and other keys.  That array never becomes one Python list:
-    the document is parsed with the array replaced by null, and the array
-    in pair-aligned chunks of about _JSON_CHUNK characters, each through
+    whitespace and other keys.  It is read as bytes, never decoded whole,
+    and that array never becomes one Python list: the document is parsed
+    with the array replaced by null, and the array in pair-aligned chunks
+    of about _JSON_CHUNK bytes, each through
     json.loads and np.array into one preallocated array, so every number
     has json's bits.  A malformed grid in either format raises a
     ValueError that names the file.  The (re, im) pairs are viewed as
     complex, so signed zeros come back as written.
     """
     try:
-        with open(path, encoding="ascii") as fh:
+        with open(path, "rb", buffering=0) as fh:
             first = fh.read(1)
             while first in _JSON_SPACE:
                 first = fh.read(1)
             fh.seek(0)
-            spec, pairs = (_json_grid(fh.read(), path) if first == "{"
-                           else _csv_grid(fh, path))
+            spec, pairs = (_json_grid(fh.read(), path) if first == b"{" else
+                           _csv_grid(io.TextIOWrapper(fh, "ascii"), path))
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not an ASCII grid file: {exc}") from exc
     try:

@@ -99,14 +99,15 @@ def sho_wigner_values(n_max, P, Q, params=Params()):
     recurrence stays accurate: on SAMPLE_SPEC it matches a 40-digit
     evaluation of the closed form to 3e-15 through n = 200, past the
     n <= 80 that the spectral-decomposition check sums.
-    Returns an array of shape (n_max + 1,) + P.shape.
+    Returns an array of shape (n_max + 1,) + the broadcast shape of P
+    and Q, so axes such as p[None, :] and q[:, None] serve as meshes.
     """
     h, m, w = params.hbar, params.m, params.omega
     P = np.asarray(P, dtype=np.float64)
     Q = np.asarray(Q, dtype=np.float64)
     x = (2.0 / (h * w)) * (P * P / (2.0 * m) + 0.5 * m * w * w * Q * Q) * 2.0
     env = np.exp(-0.5 * x)
-    out = np.empty((n_max + 1,) + P.shape)
+    out = np.empty((n_max + 1,) + x.shape)
     l_prev = np.ones_like(x)
     out[0] = 2.0 * env
     if n_max == 0:

@@ -281,7 +281,7 @@ def check_flow():
     smooth = sym.gaussian(1.0, app=-0.5, aqq=-0.5, bp=-0.3, bq=0.5,
                           apq=0.0)
     g0 = numerics.sample(smooth, numerics.WIDE_SPEC)
-    evolved = numerics.rk4_evolve(g0, "damped", 1.0, 1e-3, params)
+    evolved = numerics.rk4_evolve(g0, "damped", 1.0, 2e-3, params)
     exact = numerics.sample(dynamics.evolve_classical(smooth, 1.0, params),
                             numerics.WIDE_SPEC)
     out.append(CheckResult("RK4 grid oracle matches exact flow at t=1",

@@ -708,6 +708,17 @@ def test_load_grid_json_memory_is_output_plus_a_chunk(tmp_path):
     assert peak <= 3.0  # the text is 1.1 MB, the output 0.65 MB
 
 
+def test_load_grid_json_reads_the_file_once(tmp_path):
+    path = tmp_path / "grid.json"
+    rho = dynamics.evolve_classical(sk.sho_offdiagonal(4, 8), 0.7,
+                                    sym.Params(gamma=0.2))
+    numerics.export_grid(numerics.sample(rho, numerics.WIDE_SPEC), "json",
+                         path)
+    _, peak = _peak_above(lambda: numerics.load_grid(path))
+    # the bytes once, the output and a chunk; a decoded copy makes 2.0x
+    assert peak <= 1.7 * path.stat().st_size / 1e6
+
+
 def _grouped_symbol():
     """Three exponent groups (one of them zero) with gaps in the powers."""
     e1 = sym.QuadExponent(app=-0.5 + 0.1j, aqq=-0.4, apq=0.1, bp=0.2j,

@@ -88,6 +88,14 @@ def test_value_recurrence_before_its_loop(n_max):
         assert np.abs(W[n] - direct).max() < 1e-12
 
 
+def test_value_recurrence_takes_broadcast_axes():
+    spec = sym.GridSpec(-6.0, 6.0, -6.0, 6.0, 201, 201)
+    P, Q = spec.meshes()
+    axes = sk.sho_wigner_values(40, spec.p_values()[None, :],
+                                spec.q_values()[:, None])
+    assert np.array_equal(axes, sk.sho_wigner_values(40, P, Q))
+
+
 def test_ladder_algebra():
     par = sym.Params(m=1.4, omega=0.9, hbar=1.1)
     a, abar = sk.ladder_symbols(par)
