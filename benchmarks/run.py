@@ -20,8 +20,10 @@ REV.  One loop times every row.  Per round and row, a sample is one
 warm-up call per side, then 7 calls per side, alternating, the first side
 rotating by round; it is the median of a side's 7 values (ms, or MB).
 `rows` compares parent with change, and `rows_control` parent with the
-control, a second copy of the parent: a control ratio away from 1 is the
-row's noise floor.
+control, a second copy of the parent: the distance from 1 of the
+control's paired_ratio_median (the median of its per-round ratios, which
+the host's drift between rounds moves less than the ratio of medians) is
+the row's noise_floor.
 
 `perfbench` runs perfbench/run.py on each workload in a `git archive REV`
 tree and in the working tree: 10 pairs, one seed per pair, the first side
@@ -57,6 +59,7 @@ CALLS = 7
 ROUNDS = 9
 PERFBENCH_PAIRS = 10
 PERFBENCH_SEED = 3201
+PERFBENCH = ROOT / "perfbench"
 SERIES_SEED = 22
 ONE_TERM_CALLS = 1000  # calls of each one-term constructor per sample
 MB = " (MB)"  # the label suffix of a row whose call returns its value
@@ -395,11 +398,37 @@ def fresh_rss(pkg, *args):
     return float(out)
 
 
+def workload_cases(pkg, tmp):
+    """Rounds 0-2 of perfbench's algebra workload and round 0 of its rk4,
+    built with pkg by perfbench/workloads.  A call runs the round's ops
+    without their checks, the ladder-state cache cleared first: a perfbench
+    round draws new keys for it."""
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    from workloads import registry
+    clear = module(pkg, "oscillator").sho_offdiagonal.cache_clear
+    rows = []
+    for name, rounds in (("algebra", (0, 1, 2)), ("rk4", (0,))):
+        workload = registry()[name](pkg, PERFBENCH_SEED,
+                                    os.path.join(tmp, f"{pkg.__name__}-{name}"))
+        workload.prepare()
+        for i in rounds:
+            ops = workload.round(i)
+
+            def call(ops=ops):
+                clear()
+                for op in ops:
+                    op.run()
+            rows.append((f"perfbench {name}, round {i}, {len(ops)} ops", call))
+    return rows
+
+
 ROW_GROUPS = {"eval": eval_cases, "rk4": rk4_cases, "rk4_ops": rk4_ops_cases,
               "kernel": kernel_cases, "series": series_cases,
               "algebra": algebra_cases, "grid_eval": grid_eval_cases,
               "grid_io": grid_io_cases, "cold": cold_cases,
-              "readme": readme_cases, "rss": rss_cases}
+              "readme": readme_cases, "rss": rss_cases,
+              "workloads": workload_cases}
 GROUPS = ("perfbench", "verify", *ROW_GROUPS)
 
 
@@ -496,7 +525,7 @@ def time_rows(groups, sources, rounds, tmp):
             control[group] = compare(runs, "parent", "control")
             for label, row in control[group].items():
                 rows[group][label]["noise_floor"] = round(
-                    abs(row["median_ratio"] - 1.0), 3)
+                    abs(row["paired_ratio_median"] - 1.0), 3)
         else:
             rows[group] = {label: spread(sides["change"])
                            for label, sides in runs.items()}

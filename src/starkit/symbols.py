@@ -15,6 +15,7 @@ after normalization; every operation here is a pure function.
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +53,7 @@ class Params:
         return "underdamped" if self.gamma < self.omega else "overdamped"
 
 
-@dataclass(frozen=True, slots=True)
-class QuadExponent:
+class QuadExponent(NamedTuple):
     """Quadratic exponent app*p^2 + aqq*q^2 + apq*p*q + bp*p + bq*q."""
 
     app: complex = 0j
@@ -61,19 +61,19 @@ class QuadExponent:
     apq: complex = 0j
     bp: complex = 0j
     bq: complex = 0j
+    __mul__ = __rmul__ = None  # tuple repetition is no exponent algebra
 
     def entries(self):
-        return (self.app, self.aqq, self.apq, self.bp, self.bq)
+        return self
 
     def is_zero(self):
-        return not any(self.entries())
+        return not any(self)
 
     def conjugate(self):
-        return QuadExponent(*(e.conjugate() for e in self.entries()))
+        return QuadExponent(*(e.conjugate() for e in self))
 
     def __add__(self, other):
-        return QuadExponent(*(a + b for a, b in zip(self.entries(),
-                                                    other.entries())))
+        return QuadExponent(*(a + b for a, b in zip(self, other)))
 
     def value_at(self, p, q):
         return (self.app * p * p + self.aqq * q * q + self.apq * p * q
@@ -96,12 +96,12 @@ class QuadExponent:
 ZERO_EXPO = QuadExponent()
 
 
-@dataclass(frozen=True, slots=True)
-class Term:
+class Term(NamedTuple):
     coeff: complex
     pow_p: int
     pow_q: int
     expo: QuadExponent = ZERO_EXPO
+    __add__ = __mul__ = __rmul__ = None  # terms add only inside a symbol
 
     @property
     def degree(self):
@@ -187,7 +187,7 @@ def _check_finite(c):
 def _representative(expo, reps):
     """Index in reps of the first representative within MERGE_TOL of expo,
     appending the checked entries of expo when there is none."""
-    entries = tuple(_check_finite(complex(e)) for e in expo.entries())
+    entries = tuple(_check_finite(complex(e)) for e in expo)
     for i, r in enumerate(reps):
         if all(abs(a - b) <= MERGE_TOL for a, b in zip(entries, r)):
             return i
@@ -224,7 +224,7 @@ def normalize(raw):
         if not (type(pp) is type(pq) is int and pp >= 0 and pq >= 0):
             pp, pq = _power(pp), _power(pq)
         expo = t.expo if t.expo is ZERO_EXPO else QuadExponent(
-            *(_check_finite(complex(e)) for e in t.expo.entries()))
+            *(_check_finite(complex(e)) for e in t.expo))
         return Symbol((Term(c, pp, pq, expo),) if c != 0 else ())
     reps = []
     rep_of = {}  # exponent -> index of its representative in reps
@@ -293,7 +293,7 @@ def array_symbol(C, expo=ZERO_EXPO):
     as normalize forms it: zero entries pruned, no part -0.0 (its 0 + c),
     ordered by descending (total degree, pow_p), expo checked finite."""
     if expo is not ZERO_EXPO:
-        expo = QuadExponent(*(_check_finite(complex(e)) for e in expo.entries()))
+        expo = QuadExponent(*(_check_finite(complex(e)) for e in expo))
     C = np.asarray(C, dtype=np.complex128)
     # + 0.0 makes every zero part +0.0, as normalize's sums do
     re, im = C.real + 0.0, C.imag + 0.0
@@ -434,6 +434,8 @@ def evaluate(f, p, q):
             raise ExponentOverflowError(
                 f"exponent real part {e.real:.3g} exceeds {EXP_LIMIT:g}")
         total += t.coeff * (p ** t.pow_p) * (q ** t.pow_q) * cmath.exp(e)
+    if not cmath.isfinite(total):  # a finite exponent times a large factor
+        raise NonFiniteError("value overflows double precision")
     return total
 
 
@@ -527,7 +529,8 @@ def evaluate_grid(f, P, Q):
     are expanded a strip at a time, never to the lattice.  The arithmetic
     at a node is the same at any strip height.  ExponentOverflowError
     reports the largest real part, over the whole lattice, of the first
-    group's exponent that overflows.
+    group's exponent that overflows; NonFiniteError a value past the double
+    range, a growing exponential times a large factor.
     """
     P = np.asarray(P, dtype=np.float64)
     Q = np.asarray(Q, dtype=np.float64)
@@ -583,16 +586,24 @@ def _evaluate_strip(groups, P, Q, values, work):
             values.imag += im
             continue
         _exponent_grid(e, P, Q, expo)
+        peak = expo.real.max()
         # "not <=" also catches a NaN real part
-        if not expo.real.max() <= EXP_LIMIT:
+        if not peak <= EXP_LIMIT:
             return False
         np.exp(expo, out=expo)
         if isinstance(im, np.ndarray) or im:
             poly.real = re
             poly.imag = im
-            expo *= poly
-        else:
+            re = poly
+        if peak <= 0:  # |exp| <= 1: a finite factor cannot overflow
             expo *= re
+        else:
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    expo *= re
+            except FloatingPointError:
+                raise NonFiniteError("value overflows double precision at "
+                                     f"exponent real part {peak:.4g}") from None
         values += expo
     return True
 

@@ -21,10 +21,13 @@ def bench():
     return module
 
 
+def no_subprocess(*args, **kwargs):
+    raise AssertionError("building rows started a subprocess")
+
+
 def test_every_row_group_builds_with_unique_labels(bench, tmp_path,
                                                    monkeypatch):
-    def no_subprocess(*args, **kwargs):
-        raise AssertionError("building rows started a subprocess")
+    monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.setattr(subprocess, "run", no_subprocess)
     assert set(bench.GROUPS) == {"perfbench", "verify", *bench.ROW_GROUPS}
     for group, build in bench.ROW_GROUPS.items():
@@ -56,3 +59,37 @@ def test_src_lines_counts_the_package(bench):
     assert files
     assert bench.src_lines(ROOT) == sum(
         len(p.read_text(encoding="utf-8").splitlines()) for p in files)
+
+
+def test_noise_floor_is_the_controls_paired_ratio(bench, tmp_path,
+                                                  monkeypatch):
+    # medians 3 and 2 (ratio 0.667); per-round ratios 1.2, 0.667 and 4
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(bench, "interleave", lambda sides, rounds: {
+        "row (ms)": {"parent": [1.0, 3.0, 10.0], "change": [1.0, 3.0, 10.0],
+                     "control": [1.2, 2.0, 40.0]}})
+    src = ROOT / "src"
+    rows, control = bench.time_rows(
+        ["cold"], {"parent": src, "change": src, "control": src}, 3, tmp_path)
+    row = control["cold"]["row (ms)"]
+    assert (row["median_ratio"], row["paired_ratio_median"]) == (0.667, 1.2)
+    assert rows["cold"]["row (ms)"]["noise_floor"] == 0.2
+
+
+def test_workload_rows_rerun_perfbench_rounds(bench, tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(subprocess, "run", no_subprocess)
+    monkeypatch.setattr(subprocess, "Popen", no_subprocess)
+    rows = bench.workload_cases(starkit, str(tmp_path))
+    labels = [label for label, _ in rows]
+    assert len(set(labels)) == len(labels) == 4
+    assert [label.rsplit(",", 1)[0] for label in labels] == [
+        "perfbench algebra, round 0", "perfbench algebra, round 1",
+        "perfbench algebra, round 2", "perfbench rk4, round 0"]
+    # each call clears the ladder-state cache first, so that it misses as
+    # each round of a perfbench run does with its new keys
+    ladder = starkit.oscillator.sho_offdiagonal
+    for _ in range(2):
+        rows[0][1]()
+        info = ladder.cache_info()
+        assert info.hits == 0 and info.misses > 0

@@ -76,3 +76,18 @@ def test_wigner_sample_on_wide_lattice(n):
     _check(lambda: numerics.sample(sk.sho_wigner_eigenstate(n), spec).values,
            lambda: sk.sho_wigner_values(n, spec.p_values()[None, :],
                                         spec.q_values()[:, None])[n])
+
+
+# A finite exponent just under EXP_LIMIT times a large coefficient or
+# monomial: the exact values pass the largest double, so no returned value
+# is right (its miss from inf is NaN) and each case must raise.
+LARGE_FACTORS = {"1e10 exp(q)": sym.gaussian(1e10, bq=1.0),
+                 "q^8 exp(q)": sym.pointwise_multiply(
+                     sym.monomial(1.0, 0, 8), sym.gaussian(1.0, bq=1.0))}
+
+
+@pytest.mark.parametrize("evaluator", ["evaluate", "evaluate_grid"])
+@pytest.mark.parametrize("name", sorted(LARGE_FACTORS))
+def test_value_past_the_double_range(name, evaluator):
+    f = LARGE_FACTORS[name]
+    _check(lambda: getattr(sym, evaluator)(f, 0.0, 699.5), lambda: np.inf)

@@ -12,6 +12,61 @@ from starkit.expr import parse
 from conftest import random_symbol
 
 
+# Term and QuadExponent are tuples of their fields, equal and hashed by
+# value in C: a Term now equals the plain tuple (coeff, pow_p, pow_q, expo).
+def test_value_types_are_equal_and_hashed_by_value():
+    e = sym.QuadExponent(app=-1.0, bq=0.5j)
+    t = sym.Term(2.0 + 1j, 1, 3, e)
+    same = sym.Term(2.0 + 1j, 1, 3, sym.QuadExponent(-1.0, 0j, 0j, 0j, 0.5j))
+    assert same == t and hash(same) == hash(t) and same is not t
+    assert {t: "t"}[same] == "t"
+    assert t == (2.0 + 1j, 1, 3, e) and e == (-1.0, 0j, 0j, 0j, 0.5j)
+    assert sym.Term(2.0 + 1j, 3, 1, e) != t
+    assert sym.Term(2.0 + 1j, 1, 3) != t
+    assert sym.Term(1.0, 0, 0).expo is sym.ZERO_EXPO
+
+
+def test_value_types_are_immutable():
+    t = sym.Term(1.0, 0, 0, sym.QuadExponent(app=-1.0))
+    for obj, field in ((t, "coeff"), (t, "expo"), (t.expo, "app")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, 2.0)
+    for obj in (t, t.expo):
+        with pytest.raises(TypeError):
+            obj[0] = 2.0
+
+
+def test_exponents_add_entrywise():
+    a = sym.QuadExponent(-1.0, 2j, 0.5, 1.0, -3.0)
+    b = sym.QuadExponent(0.5, -2j, 0.25j, 0j, 3.0)
+    total = a + b
+    assert type(total) is sym.QuadExponent
+    assert total == sym.QuadExponent(-0.5, 0j, 0.5 + 0.25j, 1.0, 0j)
+    assert a.entries() == tuple(a) and a + sym.ZERO_EXPO == a
+    assert sym.ZERO_EXPO.is_zero() and not total.is_zero()
+
+
+@pytest.mark.parametrize("op", [
+    lambda t, e: t + t, lambda t, e: t * 2, lambda t, e: 2 * t,
+    lambda t, e: e * 2, lambda t, e: 2 * e],
+    ids=["term+term", "term*2", "2*term", "expo*2", "2*expo"])
+def test_tuple_operators_are_no_symbol_algebra(op):
+    e = sym.QuadExponent(app=-1.0)
+    with pytest.raises(TypeError):
+        op(sym.Term(1.0, 1, 0, e), e)
+
+
+def test_term_and_symbol_repr():
+    f = sym.gaussian(2.0, app=-1.0)
+    term = ("Term(coeff=(2+0j), pow_p=0, pow_q=0, expo=QuadExponent("
+            "app=(-1+0j), aqq=0j, apq=0j, bp=0j, bq=0j))")
+    assert repr(f.terms[0]) == term
+    assert repr(f) == f"Symbol(terms=({term},))"
+    assert repr(sym.variable("q")) == (
+        "Symbol(terms=(Term(coeff=(1+0j), pow_p=0, pow_q=1, expo=QuadExponent("
+        "app=0j, aqq=0j, apq=0j, bp=0j, bq=0j)),))")
+
+
 def test_normalize_exact_cancellation():
     out = sym.normalize([sym.Term(1.0, 0, 0), sym.Term(-1.0, 0, 0)])
     assert out.is_zero()
